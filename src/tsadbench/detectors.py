@@ -114,11 +114,24 @@ def _znorm_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, means, stds
 
 
+def _knn_rows(dists: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of its k smallest entries ordered by (value, index).
+
+    Ties at the k-th value resolve by index too: the candidates are every
+    entry up to the row's k-th smallest value, sorted in full.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(dists <= kth)
+    order = np.lexsort((cols, dists[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # position within its row
+    return cols[rank < k].reshape(-1, k)
+
+
 def _knn_indices(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ties broken by index."""
-    part = np.argpartition(dists, k - 1)[:k]
-    order = np.lexsort((part, dists[part]))
-    return part[order]
+    """Indices of the k smallest entries, ordered by (value, index): the
+    1-d form of ``_knn_rows`` for short arrays."""
+    return np.argsort(dists, kind="stable")[:k]
 
 
 @dataclass
@@ -133,6 +146,11 @@ class FittedDetector:
     store_lrd: np.ndarray | None = None  # sub_lof
     store_z: np.ndarray | None = None  # matrix_profile, non-constant rows
     store_const_means: np.ndarray | None = field(default=None)  # matrix_profile
+    store_means: np.ndarray | None = None  # matrix_profile, every row
+    # squared row norms of the rows queries are compared against (store for
+    # sub_lof, store_z for matrix_profile), and their maximum
+    sq_norms: np.ndarray | None = None
+    max_sq_norm: float = 0.0
 
     @property
     def kind(self) -> str:
@@ -147,6 +165,12 @@ class FittedDetector:
         return len(self.coef) if self.coef is not None else 0
 
 
+def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared norm of each row, and the largest (0 for no rows)."""
+    sq = np.einsum("ij,ij->i", rows, rows)
+    return sq, float(sq.max(initial=0.0))
+
+
 def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetector:
     """Fit on label-free training pools (one array per series region)."""
     arrays = [np.asarray(p, dtype=np.float64) for p in pools]
@@ -158,11 +182,16 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
     if config.kind == "matrix_profile":
         z, means, stds = _znorm_rows(store)
         const = stds < _CONST_STD
+        store_z = np.ascontiguousarray(z[~const])
+        sq_norms, max_sq_norm = _sq_norms(store_z)
         return FittedDetector(
             config=config,
             store=store,
-            store_z=np.ascontiguousarray(z[~const]),
+            store_z=store_z,
             store_const_means=means[const],
+            store_means=means,
+            sq_norms=sq_norms,
+            max_sq_norm=max_sq_norm,
         )
     # sub_lof: precompute each stored window's k-distance and local
     # reachability density (neighbors within the store exclude the point
@@ -174,23 +203,27 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
         raise InsufficientTrainingData("sub_lof needs at least two training windows")
     kdist = np.empty(n)
     neighbors = np.empty((n, k), dtype=np.int64)
+    # BLAS rounding depends on the Gram block's shape, so the block size is
+    # part of the k-distances' bits; each block is finished in chunks of rows
+    # that stay in cache.
     block = max(1, (1 << 22) // max(n, 1))
-    sq_norms = np.einsum("ij,ij->i", store, store)
+    chunk = max(1, (1 << 16) // n)
+    sq_norms, max_sq_norm = _sq_norms(store)
     for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d2 = (
-            sq_norms[lo:hi, None]
-            - 2.0 * (store[lo:hi] @ store.T)
-            + sq_norms[None, :]
-        )
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2)
-        for i in range(lo, hi):
-            row = d[i - lo]
-            row[i] = np.inf  # exclude self
-            nb = _knn_indices(row, k)
-            neighbors[i] = nb
-            kdist[i] = row[nb[-1]]
+        gram = store[lo : lo + block] @ store.T
+        for c in range(0, len(gram), chunk):
+            d = gram[c : c + chunk]  # distance rows lo + c onwards, in place
+            local = np.arange(len(d))
+            rows = lo + c + local
+            d *= -2.0
+            d += sq_norms[rows, None]
+            d += sq_norms[None, :]
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            d[local, rows] = np.inf  # exclude self
+            nb = _knn_rows(d, k)
+            neighbors[rows] = nb
+            kdist[rows] = d[local, nb[:, -1]]
     reach = np.maximum(kdist[neighbors], _pairwise_rows(store, neighbors))
     lrd = 1.0 / (reach.mean(axis=1) + _LRD_EPS)
     return FittedDetector(
@@ -199,6 +232,8 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
         store_k=k,
         store_kdist=kdist,
         store_lrd=lrd,
+        sq_norms=sq_norms,
+        max_sq_norm=max_sq_norm,
     )
 
 
@@ -211,30 +246,68 @@ def count_parameters(fitted: FittedDetector) -> int:
     return fitted.count_parameters()
 
 
+# Candidate margin of _refine. With u = eps / 2, m the window length and
+# N = max ||s||^2 + ||q||^2, the gemv value ||s||^2 - 2 s.q (+ ||q||^2) and
+# the exact formula's fl(sum fl(s - q)^2) are within (2m + 2) u N and
+# (2m + 4) u N of the true squared distance (to first order), so within
+# tol = 4 (m + 2) eps N = (8m + 16) u N of each other. A row can be among
+# the k nearest by the exact formula only if its gemv value is within
+# 2 (4m + 6) u N of the k-th smallest, plus 8 u N for squares that round
+# to the same square root; 2 tol leaves (8m + 12) u N beyond that for
+# second-order terms and the rounding of the threshold itself.
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _refine(
+    rows: np.ndarray, sq_norms: np.ndarray, max_sq: float, q: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distances from q to every row that can be among its k nearest.
+
+    One gemv gives approximate squared distances for all rows; rows within
+    twice the rounding bound of the k-th smallest are recomputed with the
+    exact formula ``sqrt(sum((s - q)**2))``, so the k nearest of the returned
+    distances, ties by index, are the k nearest over all rows. Returns the
+    candidate row indices (ascending) and their exact distances.
+    """
+    approx = rows @ q  # ||s||^2 - 2 s.q; ||q||^2 shifts all rows alike
+    approx *= -2.0
+    approx += sq_norms
+    kth = approx.min() if k == 1 else np.partition(approx, k - 1)[k - 1]
+    tol = 4.0 * (len(q) + 2) * _EPS * (max_sq + float(q @ q))
+    cand = np.flatnonzero(approx <= kth + 2.0 * tol)
+    diff = rows[cand]
+    diff -= q
+    return cand, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()`` of a 1-d float array, bit for bit, without its call overhead."""
+    return np.add.reduce(x) / len(x)
+
+
 def _lof_of_window(fitted: FittedDetector, window: np.ndarray) -> float:
-    store = fitted.store
-    diff = store - window
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    nb = _knn_indices(d, fitted.store_k)
-    reach = np.maximum(fitted.store_kdist[nb], d[nb])
-    lrd_q = 1.0 / (reach.mean() + _LRD_EPS)
-    return float(fitted.store_lrd[nb].mean() / lrd_q)
+    k = fitted.store_k
+    cand, d = _refine(fitted.store, fitted.sq_norms, fitted.max_sq_norm, window, k)
+    local = _knn_indices(d, k)
+    nb = cand[local]
+    reach = np.maximum(fitted.store_kdist[nb], d[local])
+    lrd_q = 1.0 / (_mean(reach) + _LRD_EPS)
+    return float(_mean(fitted.store_lrd[nb]) / lrd_q)
 
 
 def _profile_of_window(fitted: FittedDetector, window: np.ndarray) -> float:
-    mean = window.mean()
-    std = window.std()
+    mean = _mean(window)
+    dev = window - mean
+    std = math.sqrt(_mean(dev * dev))  # window.std(), bit for bit
     best = math.inf
     if std < _CONST_STD:
         # constant query: all comparisons fall back to mean offsets
-        all_means = fitted.store.mean(axis=1)
-        return float(np.abs(all_means - mean).min())
-    if fitted.store_z is not None and len(fitted.store_z):
-        z = (window - mean) / std
-        diff = fitted.store_z - z
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return float(np.abs(fitted.store_means - mean).min())
+    if len(fitted.store_z):
+        z = dev / std
+        _, d = _refine(fitted.store_z, fitted.sq_norms, fitted.max_sq_norm, z, 1)
         best = float(d.min())
-    if fitted.store_const_means is not None and len(fitted.store_const_means):
+    if len(fitted.store_const_means):
         best = min(best, float(np.abs(fitted.store_const_means - mean).min()))
     return best
 

@@ -25,6 +25,7 @@ import json
 import queue
 import subprocess
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,6 +40,10 @@ from .errors import (
 from .schemas import Task
 
 PROTOCOL_VERSION = 1
+
+# Stderr lines kept per detector process (the newest); older ones are
+# dropped so a chatty detector cannot grow the harness's memory.
+STDERR_KEEP = 200
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class _Process:
         except OSError as exc:
             raise ProtocolError(f"could not spawn {command!r}: {exc}") from exc
         self._lines: queue.Queue = queue.Queue()
-        self.stderr_lines: list[str] = []
+        self.stderr_lines: deque[str] = deque(maxlen=STDERR_KEEP)
         threading.Thread(target=self._pump_stdout, daemon=True).start()
         self._stderr_thread = threading.Thread(target=self._pump_stderr, daemon=True)
         self._stderr_thread.start()
@@ -140,7 +145,7 @@ class _Process:
 
     def stderr_tail(self, limit: int = 5) -> str:
         self._stderr_thread.join(timeout=1.0)
-        return " | ".join(self.stderr_lines[-limit:])
+        return " | ".join(list(self.stderr_lines)[-limit:])
 
 
 def _expect(message: dict, expected_type: str) -> dict:

@@ -5,9 +5,15 @@ with the package: segments come from a linear scan, prolonged ends apply
 the min(end+L, next_start-1, n-1) rule directly, and every unique
 threshold is evaluated by a fresh pass over the scores. Used to freeze
 expected values and to check the optimized sweep.
+
+The ``*_diff_matrix`` functions keep the store-based detectors' plain
+formulas (a distance from every stored window, nearest by a full sort) as
+the reference their gemv-and-refine kernels must match bit for bit.
 """
 
 import math
+
+import numpy as np
 
 E = math.e
 
@@ -271,3 +277,60 @@ def znorm_dist_brute(a, b):
     za = [(x - ma) / sa for x in a]
     zb = [(x - mb) / sb for x in b]
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(za, zb)))
+
+
+def _exact_dists(rows, window):
+    diff = rows - window
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _nearest(dists, k):
+    """The k smallest entries' indices, by (distance, index), from a full sort."""
+    return np.lexsort((np.arange(len(dists)), dists))[:k]
+
+
+def lof_store_diff_matrix(store, k):
+    """sub_lof's fitted (k-distance, lrd) per stored window, row by row.
+
+    Store distances use the norm expansion on one Gram matrix, as fit does
+    for stores of up to 2,048 windows; each row's neighbors exclude itself.
+    """
+    store = np.ascontiguousarray(store, dtype=np.float64)
+    n = len(store)
+    sq = np.einsum("ij,ij->i", store, store)
+    d = np.sqrt(np.maximum(sq[:, None] - 2.0 * (store @ store.T) + sq[None, :], 0.0))
+    kdist = np.empty(n)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        row = d[i].copy()
+        row[i] = np.inf
+        neighbors[i] = _nearest(row, k)
+        kdist[i] = row[neighbors[i][-1]]
+    pair = np.array([_exact_dists(store[neighbors[i]], store[i]) for i in range(n)])
+    reach = np.maximum(kdist[neighbors], pair)
+    return kdist, 1.0 / (reach.mean(axis=1) + 1e-10)
+
+
+def lof_diff_matrix(store, kdist, lrd, k, window):
+    """sub_lof's score of one window against every stored window."""
+    d = _exact_dists(np.asarray(store, dtype=np.float64), window)
+    nb = _nearest(d, k)
+    reach = np.maximum(kdist[nb], d[nb])
+    return float(lrd[nb].mean() / (1.0 / (reach.mean() + 1e-10)))
+
+
+def profile_diff_matrix(store, window):
+    """matrix_profile's score of one window against every stored window."""
+    store = np.asarray(store, dtype=np.float64)
+    means, stds = store.mean(axis=1), store.std(axis=1)
+    mean, std = window.mean(), window.std()
+    if std < 1e-12:
+        return float(np.abs(means - mean).min())
+    const = stds < 1e-12
+    best = math.inf
+    if (~const).any():
+        z_store = (store[~const] - means[~const, None]) / stds[~const, None]
+        best = float(_exact_dists(z_store, (window - mean) / std).min())
+    if const.any():
+        best = min(best, float(np.abs(means[const] - mean).min()))
+    return best

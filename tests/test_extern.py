@@ -10,7 +10,7 @@ from tsadbench.errors import (
     NonZeroExit,
     ProtocolError,
 )
-from tsadbench.extern import ExternalDetectorSpec, drive
+from tsadbench.extern import STDERR_KEEP, ExternalDetectorSpec, _Process, drive
 from tsadbench.schemas import plan_naive
 
 
@@ -88,3 +88,19 @@ def test_spec_validation():
         ExternalDetectorSpec(command=())
     with pytest.raises(Exception):
         ExternalDetectorSpec(command=("x",), startup_timeout=0)
+
+
+def test_captured_stderr_is_bounded():
+    proc = _Process([sys.executable, str(STUB_DIR / "stub_chatty_die.py")])
+    try:
+        proc.send({"type": "hello", "protocol": 1})
+        assert proc.recv(10.0)["type"] == "hello"
+        proc.send({"type": "fit", "series": []})
+        assert proc.proc.wait(timeout=30) == 4
+        proc._stderr_thread.join(timeout=30)
+        assert not proc._stderr_thread.is_alive()
+        assert len(proc.stderr_lines) == STDERR_KEEP  # of 20,000 written
+        expected = " | ".join(f"progress {i}" for i in range(19995, 20000))
+        assert proc.stderr_tail() == expected
+    finally:
+        proc.kill()
