@@ -20,6 +20,7 @@ dataset errors do.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .errors import (
     TsadError,
 )
 from .extern import ExternalDetectorSpec, drive
-from .metrics import EvalCriterion, MetricReport, aggregate, evaluate_curve
+from .metrics import EvalCriterion, MetricReport, RankedScores, aggregate, evaluate_curve
 from .schemas import SCHEMAS, BenchmarkPlan, Task, build_plan
 
 EXCLUDED_ANOMALY_FREE = "anomaly_free_test"
@@ -361,11 +362,24 @@ def _dump_scores(
 ) -> None:
     directory = os.path.join(out_dir, "scores", dataset, schema, detector)
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{curve}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,score\n")
-        for j, v in enumerate(scores.tolist()):
-            fh.write(f"{test_start + j},{v!r}\n")
+    rows = "".join(f"{test_start + j},{v!r}\n" for j, v in enumerate(scores.tolist()))
+    with _atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
+        fh.write("index,score\n" + rows)
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces path only once it is completely written, so
+    a write that fails part way never leaves a partial file at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def run(config: RunConfig, output_dir: str) -> RunReport:
@@ -507,13 +521,15 @@ def _evaluate_into(
     scores: np.ndarray,
     labels: np.ndarray,
 ) -> None:
-    score_list = scores.tolist()
-    label_list = labels.tolist()
+    # One ranking per curve shares the sort and run-neighbour work across
+    # criteria; each criterion is still its own evaluate_curve call, so a
+    # profiler or tracer wrapping it sees every criterion separately.
+    ranked = RankedScores(scores)
     for criterion in config.criteria:
         k_eff = resolve_k_delay(
             config.k_delay_overrides, manifest.name, manifest, criterion.k_delay
         )
-        result = evaluate_curve(score_list, label_list, criterion.with_k_delay(k_eff))
+        result = evaluate_curve(ranked, labels, criterion.with_k_delay(k_eff))
         report.rows.append(
             MetricRow(
                 dataset=manifest.name,
@@ -574,7 +590,7 @@ def evaluate_scores(
                     continue
                 series_obj = series_by_id[curve]
                 try:
-                    arr = _load_score_dump(os.path.join(det_dir, fname))
+                    arr = _load_score_dump(os.path.join(det_dir, fname), series_obj.test_start)
                     scored = ScoreSeries(series_id=curve, scores=arr)
                     validate_scores(scored, series_obj)
                 except TsadError as exc:
@@ -596,7 +612,8 @@ def evaluate_scores(
     return report
 
 
-def _load_score_dump(path: str) -> list[float]:
+def _load_score_dump(path: str, test_start: int) -> list[float]:
+    """Scores of one dump, whose index column must run test_start, test_start + 1, ..."""
     values = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -606,15 +623,20 @@ def _load_score_dump(path: str) -> list[float]:
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetError(f"{path}: malformed row {line!r}")
-            values.append(float(parts[1]))
+            try:
+                index, value = line.split(",")
+                index, value = int(index), float(value)
+            except ValueError:
+                raise DatasetError(f"{path}: malformed row {line!r}") from None
+            expected = test_start + len(values)
+            if index != expected:
+                raise DatasetError(f"{path}: index {index} where {expected} was expected")
+            values.append(value)
     return values
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -635,42 +657,28 @@ def write_tables(results_doc: dict, tables_dir: str) -> None:
     """One CSV per criterion: rows are (detector, schema) ranked by the mean
     of their dataset-level f1_best scores, descending (name breaks ties)."""
     os.makedirs(tables_dir, exist_ok=True)
-    per_dataset = results_doc["aggregates"]["per_dataset"]
-    overall = results_doc["aggregates"]["overall"]
-    criteria = sorted({entry["criterion"] for entry in overall})
-    for criterion in criteria:
-        datasets = sorted(
-            {e["dataset"] for e in per_dataset if e["criterion"] == criterion}
+    cells: dict[tuple[str, str, str], dict[str, float]] = {}
+    datasets: dict[str, set[str]] = {}
+    for e in results_doc["aggregates"]["per_dataset"]:
+        key = (e["criterion"], e["detector"], e["schema"])
+        cells.setdefault(key, {})[e["dataset"]] = e["f1_best_mean"]
+        datasets.setdefault(e["criterion"], set()).add(e["dataset"])
+    overall: dict[str, list[dict]] = {}
+    for entry in results_doc["aggregates"]["overall"]:
+        overall.setdefault(entry["criterion"], []).append(entry)
+    for criterion in sorted(overall):
+        names = sorted(datasets.get(criterion, ()))
+        entries = sorted(
+            overall[criterion], key=lambda e: (-e["f1_best_mean"], e["detector"], e["schema"])
         )
-        rows = []
-        for entry in overall:
-            if entry["criterion"] != criterion:
-                continue
-            cells = {
-                e["dataset"]: e["f1_best_mean"]
-                for e in per_dataset
-                if e["criterion"] == criterion
-                and e["detector"] == entry["detector"]
-                and e["schema"] == entry["schema"]
-            }
-            rows.append(
-                (
-                    -entry["f1_best_mean"],
-                    entry["detector"],
-                    entry["schema"],
-                    cells,
-                    entry["f1_best_mean"],
-                )
-            )
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
         path = os.path.join(tables_dir, f"{criterion}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("detector,schema," + ",".join(datasets) + ",avg\n")
-            for _neg, detector, schema, cells, avg in rows:
-                cols = [
-                    f"{cells[ds]:.6f}" if ds in cells else "" for ds in datasets
-                ]
-                fh.write(f"{detector},{schema}," + ",".join(cols) + f",{avg:.6f}\n")
+            fh.write("detector,schema," + ",".join(names) + ",avg\n")
+            for e in entries:
+                row = cells.get((criterion, e["detector"], e["schema"]), {})
+                cols = [f"{row[ds]:.6f}" if ds in row else "" for ds in names]
+                fh.write(f"{e['detector']},{e['schema']}," + ",".join(cols)
+                         + f",{e['f1_best_mean']:.6f}\n")
 
 
 def _write_runtime_csv(report: RunReport, path: str) -> None:

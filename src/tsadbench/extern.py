@@ -131,12 +131,20 @@ class _Process:
             raise NonZeroExit(f"detector exited with status {code}")
 
     def kill(self) -> None:
+        self.reap()
+        self.close()
+
+    def reap(self) -> None:
+        """Kill the process if it still runs and wait for it to exit."""
         if self.proc.poll() is None:
             self.proc.kill()
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             pass
+
+    def close(self) -> None:
+        """Close the pipes; stderr lines not yet read are lost."""
         for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
             try:
                 stream.close()
@@ -172,7 +180,7 @@ def drive(
     try:
         return _exchange(spec, task, series_by_id, proc)
     except TsadError as exc:
-        proc.kill()
+        proc.reap()  # the pipes stay open until the stderr tail is read
         tail = proc.stderr_tail()
         if tail:
             exc.args = (f"{exc.args[0]} [stderr: {tail}]",)

@@ -421,3 +421,115 @@ class TestCli:
 
     def test_usage_error_maps_to_config_exit(self):
         assert cli_main(["run", "--nonsense"]) == 1
+
+
+class TestDumpIndexColumn:
+    """A dump whose index column is not test_start, test_start + 1, ...
+    is a failure for its curve, not a silently misaligned score array."""
+
+    def _rewrite_indices(self, dump, new_indices):
+        lines = dump.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        body = "".join(f"{i},{v}\n" for i, (_old, v) in zip(new_indices(rows), rows))
+        dump.write_text(lines[0] + "\n" + body)
+
+    def _failure_after(self, small_dataset, tmp_path, new_indices):
+        out = tmp_path / "out"
+        config = base_config(small_dataset)
+        bench.run(config, str(out))
+        dump = out / "scores" / "mini" / "naive" / "first_diff" / "c0.csv"
+        self._rewrite_indices(dump, new_indices)
+        again = bench.evaluate_scores(str(out / "scores"), small_dataset, config.criteria)
+        assert any(r.curve == "c1" for r in again.rows)
+        assert not any(r.curve == "c0" and r.detector == "first_diff" for r in again.rows)
+        errors = {(f["detector"], f["curves"][0]): f for f in again.failures}
+        return errors[("first_diff", "c0")]
+
+    def test_reversed_dump_recorded_as_failure(self, small_dataset, tmp_path):
+        failure = self._failure_after(
+            small_dataset, tmp_path, lambda rows: [old for old, _v in reversed(rows)]
+        )
+        assert failure["error"] == "DatasetError"
+        assert "was expected" in failure["message"]
+
+    def test_shifted_dump_recorded_as_failure(self, small_dataset, tmp_path):
+        failure = self._failure_after(
+            small_dataset, tmp_path, lambda rows: [int(old) + 1 for old, _v in rows]
+        )
+        assert failure["error"] == "DatasetError"
+
+    def test_gapped_dump_recorded_as_failure(self, small_dataset, tmp_path):
+        failure = self._failure_after(
+            small_dataset, tmp_path,
+            lambda rows: [int(old) + (j >= 5) for j, (old, _v) in enumerate(rows)],
+        )
+        assert failure["error"] == "DatasetError"
+
+    def test_cli_eval_exits_with_partial_failure(self, small_dataset, tmp_path):
+        out = tmp_path / "out"
+        bench.run(base_config(small_dataset), str(out))
+        dump = out / "scores" / "mini" / "naive" / "ar" / "c2.csv"
+        self._rewrite_indices(dump, lambda rows: [old for old, _v in reversed(rows)])
+        code = cli_main(
+            ["eval", "-s", str(out / "scores"), "-d", small_dataset,
+             "--criteria", "reduced_length_pa", "-o", str(tmp_path / "eval")]
+        )
+        assert code == 3
+
+
+class _FailingFile:
+    """A text file that writes the first half of what it is given, then
+    fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    def _fail_writes(self, monkeypatch):
+        real_open = open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            return _FailingFile(real_open(path, mode, *args, **kwargs))
+
+        monkeypatch.setattr(bench, "open", failing_open, raising=False)
+
+    def test_dump_matches_one_row_per_score(self, tmp_path):
+        import numpy as np
+
+        scores = np.array([0.1, 1e-300, 2.0, -0.0])
+        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 7, scores)
+        text = (tmp_path / "scores" / "d" / "naive" / "x" / "c.csv").read_text()
+        assert text == "index,score\n7,0.1\n8,1e-300\n9,2.0\n10,-0.0\n"
+
+    def test_failed_dump_leaves_previous_file(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        directory = tmp_path / "scores" / "d" / "naive" / "x"
+        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 0, np.array([1.0]))
+        before = (directory / "c.csv").read_bytes()
+        self._fail_writes(monkeypatch)
+        with pytest.raises(OSError):
+            bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 0, np.arange(1000.0))
+        assert (directory / "c.csv").read_bytes() == before
+        assert os.listdir(directory) == ["c.csv"]
+
+    def test_failed_results_json_leaves_no_file(self, small_dataset, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        report = bench.run(base_config(small_dataset), str(out))
+        self._fail_writes(monkeypatch)
+        with pytest.raises(OSError):
+            bench.emit_reports(report, str(out))
+        assert not (out / "results.json").exists()
+        assert [name for name in os.listdir(out) if name.endswith(".tmp")] == []

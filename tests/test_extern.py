@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -104,3 +105,19 @@ def test_captured_stderr_is_bounded():
         assert proc.stderr_tail() == expected
     finally:
         proc.kill()
+
+
+def test_failure_message_keeps_last_stderr_line(task_and_series, monkeypatch):
+    """The stderr tail is read after the process is reaped but before its
+    pipes are closed, so lines the reader thread has not reached yet still
+    make it into the message. A delayed reader makes that deterministic."""
+    pump = _Process._pump_stderr
+
+    def late_pump(self):
+        time.sleep(0.3)
+        pump(self)
+
+    monkeypatch.setattr(_Process, "_pump_stderr", late_pump)
+    task, by_id = task_and_series
+    with pytest.raises(NonZeroExit, match="line 999"):
+        drive(stub_spec("stub_tail_die.py"), task, by_id)
