@@ -18,7 +18,7 @@ from .datasets import (
     load_dataset,
     write_dataset,
 )
-from .detectors import DetectorConfig, FittedDetector, count_parameters, fit, score
+from .detectors import DetectorConfig, FittedDetector, fit, score
 from .extern import ExternalDetectorSpec, drive
 from .metrics import (
     EvalCriterion,

@@ -26,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,6 +47,10 @@ from .schemas import SCHEMAS, BenchmarkPlan, Task, build_plan
 
 EXCLUDED_ANOMALY_FREE = "anomaly_free_test"
 EXCLUDED_POOLING = "statistical_pooling_unsupported"
+
+# Score-dump rows formatted and written per write call: bounds the text
+# held in memory for one dump.
+DUMP_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -121,49 +125,37 @@ def parse_run_config(doc: Mapping) -> RunConfig:
     """Parse and validate the run config JSON document."""
     if not isinstance(doc, Mapping):
         raise ConfigError("config must be a JSON object")
-    known = {
-        "datasets", "detectors", "schemas", "criteria", "k_delay_overrides",
-        "seed", "workers", "allow_statistical_pooling",
-    }
-    extra = set(doc) - known
+    extra = set(doc) - {f.name for f in fields(RunConfig)}
     if extra:
         raise ConfigError(f"unknown config fields {sorted(extra)}")
+    given = dict(doc)  # fields left out take RunConfig's defaults
+    given["datasets"] = tuple(doc.get("datasets", ()))
+    given["detectors"] = tuple(_parse_detector(entry) for entry in doc.get("detectors", []))
+    if "schemas" in doc:
+        given["schemas"] = tuple(doc["schemas"])
+    if "criteria" in doc:
+        given["criteria"] = tuple(EvalCriterion.from_dict(c) for c in doc["criteria"])
+    if "k_delay_overrides" in doc:
+        if not isinstance(doc["k_delay_overrides"], Mapping):
+            raise ConfigError("k_delay_overrides must be an object")
+        given["k_delay_overrides"] = dict(doc["k_delay_overrides"])
+    return RunConfig(**given)
 
-    detector_list = []
-    for entry in doc.get("detectors", []):
-        if not isinstance(entry, Mapping) or "kind" not in entry:
-            raise ConfigError(f"detector entries need a kind: {entry!r}")
-        if entry["kind"] == "external":
-            if "command" not in entry or not entry["command"]:
-                raise ConfigError("external detector needs a command list")
-            detector_list.append(
-                ExternalDetectorSpec(
-                    command=tuple(entry["command"]),
-                    name=entry.get("name", "external"),
-                    startup_timeout=entry.get("startup_timeout", 30.0),
-                    message_timeout=entry.get("message_timeout", 300.0),
-                )
-            )
-        else:
-            fields = {k: entry[k] for k in ("kind", "window", "neighbors", "ridge", "name") if k in entry}
-            detector_list.append(det.DetectorConfig(**fields))
 
-    criteria = [
-        EvalCriterion.from_dict(c) for c in doc.get("criteria", [{"variant": "reduced_length_pa"}])
-    ]
-    overrides = doc.get("k_delay_overrides", {})
-    if not isinstance(overrides, Mapping):
-        raise ConfigError("k_delay_overrides must be an object")
-    return RunConfig(
-        datasets=tuple(doc.get("datasets", ())),
-        detectors=tuple(detector_list),
-        schemas=tuple(doc.get("schemas", ("naive",))),
-        criteria=tuple(criteria),
-        k_delay_overrides=dict(overrides),
-        seed=doc.get("seed", 0),
-        workers=doc.get("workers", 1),
-        allow_statistical_pooling=doc.get("allow_statistical_pooling", False),
-    )
+def _parse_detector(entry) -> det.DetectorConfig | ExternalDetectorSpec:
+    """A detector entry; keys that are not fields of its dataclass are ignored."""
+    if not isinstance(entry, Mapping) or "kind" not in entry:
+        raise ConfigError(f"detector entries need a kind: {entry!r}")
+    if entry["kind"] != "external":
+        return det.DetectorConfig(**_fields_in(det.DetectorConfig, entry))
+    if not entry.get("command"):
+        raise ConfigError("external detector needs a command list")
+    given = _fields_in(ExternalDetectorSpec, entry)
+    return ExternalDetectorSpec(**{**given, "command": tuple(entry["command"])})
+
+
+def _fields_in(cls, entry: Mapping) -> dict:
+    return {f.name: entry[f.name] for f in fields(cls) if f.name in entry}
 
 
 @dataclass(frozen=True)
@@ -211,6 +203,14 @@ class RuntimeStat:
         if self.scored_samples == 0:
             return 0.0
         return self.inference_seconds / self.scored_samples
+
+    def add(self, task: RuntimeStat) -> None:
+        """Fold in one task: times and samples add up, sizes take the max."""
+        self.fit_seconds += task.fit_seconds
+        self.inference_seconds += task.inference_seconds
+        self.scored_samples += task.scored_samples
+        self.parameter_count = max(self.parameter_count, task.parameter_count)
+        self.store_size = max(self.store_size, task.store_size)
 
 
 @dataclass
@@ -287,11 +287,19 @@ class RunReport:
 @dataclass
 class _TaskOutcome:
     scores: list[tuple[str, np.ndarray]]
-    fit_seconds: float
-    inference_seconds: float
-    scored_samples: int
-    parameter_count: int
-    store_size: int
+    runtime: RuntimeStat
+
+
+def _failure(dataset: str, schema: str, detector: str, curves, exc: TsadError) -> dict:
+    """The failures entry of results.json for curves that produced no rows."""
+    return {
+        "dataset": dataset,
+        "schema": schema,
+        "detector": detector,
+        "curves": sorted(curves),
+        "error": type(exc).__name__,
+        "message": str(exc),
+    }
 
 
 def _pool_values(task: Task, series_by_id: Mapping[str, TimeSeries]) -> list[np.ndarray]:
@@ -322,14 +330,10 @@ def _run_builtin_task(
         validate_scores(scored, series)
         scores.append((sid, scored.scores))
         samples += len(test)
-    return _TaskOutcome(
-        scores=scores,
-        fit_seconds=fit_seconds,
-        inference_seconds=inference,
-        scored_samples=samples,
-        parameter_count=fitted.count_parameters(),
-        store_size=fitted.store_size,
+    stat = RuntimeStat(
+        fit_seconds, inference, samples, fitted.count_parameters(), fitted.store_size
     )
+    return _TaskOutcome(scores, stat)
 
 
 def _run_external_task(
@@ -340,15 +344,9 @@ def _run_external_task(
     t0 = time.perf_counter()
     results = drive(spec, task, series_by_id)
     elapsed = time.perf_counter() - t0
-    samples = sum(len(r) for r in results)
-    return _TaskOutcome(
-        scores=[(r.series_id, r.scores) for r in results],
-        fit_seconds=0.0,  # external processes are timed end to end
-        inference_seconds=elapsed,
-        scored_samples=samples,
-        parameter_count=0,
-        store_size=0,
-    )
+    # external processes are timed end to end, so all of it is inference
+    stat = RuntimeStat(inference_seconds=elapsed, scored_samples=sum(len(r) for r in results))
+    return _TaskOutcome([(r.series_id, r.scores) for r in results], stat)
 
 
 def _dump_scores(
@@ -362,9 +360,11 @@ def _dump_scores(
 ) -> None:
     directory = os.path.join(out_dir, "scores", dataset, schema, detector)
     os.makedirs(directory, exist_ok=True)
-    rows = "".join(f"{test_start + j},{v!r}\n" for j, v in enumerate(scores.tolist()))
     with _atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
-        fh.write("index,score\n" + rows)
+        fh.write("index,score\n")
+        for lo in range(0, len(scores), DUMP_CHUNK_ROWS):
+            chunk = scores[lo : lo + DUMP_CHUNK_ROWS].tolist()
+            fh.write("".join(f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)))
 
 
 @contextlib.contextmanager
@@ -410,16 +410,7 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
             try:
                 plan = build_plan(schema, kept, config.seed)
             except (TooFewSeries, EmptyDataset) as exc:
-                report.failures.append(
-                    {
-                        "dataset": manifest.name,
-                        "schema": schema,
-                        "detector": "*",
-                        "curves": sorted(series_by_id),
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
+                report.failures.append(_failure(manifest.name, schema, "*", series_by_id, exc))
                 continue
             for detector in config.detectors:
                 name = _detector_name(detector)
@@ -458,47 +449,27 @@ def _run_detector(
     output_dir: str,
 ) -> None:
     name = _detector_name(detector)
-    builtin = isinstance(detector, det.DetectorConfig)
-    runner = _run_builtin_task if builtin else _run_external_task
+    runner = _run_builtin_task if isinstance(detector, det.DetectorConfig) else _run_external_task
 
-    def job(task: Task):
-        return runner(detector, task, series_by_id)
+    def attempt(task: Task) -> _TaskOutcome | TsadError:
+        try:
+            return runner(detector, task, series_by_id)
+        except TsadError as exc:
+            return exc
 
-    outcomes: list[tuple[Task, _TaskOutcome | TsadError]] = []
     if config.workers > 1 and len(plan.tasks) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(job, task) for task in plan.tasks]
-            for task, future in zip(plan.tasks, futures):
-                try:
-                    outcomes.append((task, future.result()))
-                except TsadError as exc:
-                    outcomes.append((task, exc))
+            outcomes = list(pool.map(attempt, plan.tasks))
     else:
-        for task in plan.tasks:
-            try:
-                outcomes.append((task, job(task)))
-            except TsadError as exc:
-                outcomes.append((task, exc))
+        outcomes = [attempt(task) for task in plan.tasks]
 
     stat = report.runtime.setdefault((name, plan.schema), RuntimeStat())
-    for task, outcome in outcomes:
+    for task, outcome in zip(plan.tasks, outcomes):
         if isinstance(outcome, TsadError):
-            report.failures.append(
-                {
-                    "dataset": manifest.name,
-                    "schema": plan.schema,
-                    "detector": name,
-                    "curves": sorted(sid for sid, _ in task.eval_refs),
-                    "error": type(outcome).__name__,
-                    "message": str(outcome),
-                }
-            )
+            curves = [sid for sid, _ in task.eval_refs]
+            report.failures.append(_failure(manifest.name, plan.schema, name, curves, outcome))
             continue
-        stat.fit_seconds += outcome.fit_seconds
-        stat.inference_seconds += outcome.inference_seconds
-        stat.scored_samples += outcome.scored_samples
-        stat.parameter_count = max(stat.parameter_count, outcome.parameter_count)
-        stat.store_size = max(stat.store_size, outcome.store_size)
+        stat.add(outcome.runtime)
         for sid, arr in outcome.scores:
             series = series_by_id[sid]
             _dump_scores(
@@ -506,14 +477,15 @@ def _run_detector(
                 sid, series.test_start, arr,
             )
             _evaluate_into(
-                report, config, manifest, plan.schema, name, sid,
-                arr, series.test_labels(),
+                report, config.criteria, config.k_delay_overrides, manifest,
+                plan.schema, name, sid, arr, series.test_labels(),
             )
 
 
 def _evaluate_into(
     report: RunReport,
-    config: RunConfig,
+    criteria: Sequence[EvalCriterion],
+    k_delay_overrides: Mapping[str, int | None],
     manifest: DatasetManifest,
     schema: str,
     detector: str,
@@ -525,11 +497,9 @@ def _evaluate_into(
     # criteria; each criterion is still its own evaluate_curve call, so a
     # profiler or tracer wrapping it sees every criterion separately.
     ranked = RankedScores(scores)
-    for criterion in config.criteria:
-        k_eff = resolve_k_delay(
-            config.k_delay_overrides, manifest.name, manifest, criterion.k_delay
-        )
-        result = evaluate_curve(ranked, labels, criterion.with_k_delay(k_eff))
+    for criterion in criteria:
+        k_eff = resolve_k_delay(k_delay_overrides, manifest.name, manifest, criterion.k_delay)
+        result = evaluate_curve(ranked, labels, replace(criterion, k_delay=k_eff))
         report.rows.append(
             MetricRow(
                 dataset=manifest.name,
@@ -558,17 +528,12 @@ def evaluate_scores(
     series, manifest = load_dataset(dataset_root)
     kept, _excluded = filter_anomaly_free(series)
     series_by_id = {s.id: s for s in kept}
-    config = RunConfig(
-        datasets=(dataset_root,),
-        detectors=(det.DetectorConfig(kind="first_diff", name="_eval"),),
-        criteria=tuple(criteria),
-        k_delay_overrides=dict(k_delay_overrides or {}),
-    )
+    k_delay_overrides = dict(k_delay_overrides or {})
     report = RunReport(
         config_echo={
             "datasets": [dataset_root],
             "criteria": [c.to_dict() for c in criteria],
-            "k_delay_overrides": dict(k_delay_overrides or {}),
+            "k_delay_overrides": k_delay_overrides,
         }
     )
     ds_dir = os.path.join(scores_root, manifest.name)
@@ -594,19 +559,10 @@ def evaluate_scores(
                     scored = ScoreSeries(series_id=curve, scores=arr)
                     validate_scores(scored, series_obj)
                 except TsadError as exc:
-                    report.failures.append(
-                        {
-                            "dataset": manifest.name,
-                            "schema": schema,
-                            "detector": detector,
-                            "curves": [curve],
-                            "error": type(exc).__name__,
-                            "message": str(exc),
-                        }
-                    )
+                    report.failures.append(_failure(manifest.name, schema, detector, [curve], exc))
                     continue
                 _evaluate_into(
-                    report, config, manifest, schema, detector, curve,
+                    report, criteria, k_delay_overrides, manifest, schema, detector, curve,
                     scored.scores, series_obj.test_labels(),
                 )
     return report

@@ -11,6 +11,7 @@ with partial failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -78,35 +79,18 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    doc = _load_json(args.config)
-    config = bench.parse_run_config(doc)
+    overrides = {}
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        config = bench.RunConfig(**{**_config_kwargs(config), "workers": args.workers})
+        overrides["workers"] = args.workers
     if args.allow_statistical_pooling:
-        config = bench.RunConfig(
-            **{**_config_kwargs(config), "allow_statistical_pooling": True}
-        )
+        overrides["allow_statistical_pooling"] = True
+    config = dataclasses.replace(bench.parse_run_config(_load_json(args.config)), **overrides)
     report = bench.run(config, args.output)
     bench.emit_reports(report, args.output)
     n_rows = len(report.rows)
     n_fail = len(report.failures)
     print(f"{n_rows} metric rows, {len(report.exclusions)} exclusions, {n_fail} failures")
     return EXIT_PARTIAL if n_fail else EXIT_OK
-
-
-def _config_kwargs(config: bench.RunConfig) -> dict:
-    return {
-        "datasets": config.datasets,
-        "detectors": config.detectors,
-        "schemas": config.schemas,
-        "criteria": config.criteria,
-        "k_delay_overrides": config.k_delay_overrides,
-        "seed": config.seed,
-        "workers": config.workers,
-        "allow_statistical_pooling": config.allow_statistical_pooling,
-    }
 
 
 def _cmd_eval(args) -> int:

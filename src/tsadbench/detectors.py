@@ -242,10 +242,6 @@ def _pairwise_rows(store: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
 
 
-def count_parameters(fitted: FittedDetector) -> int:
-    return fitted.count_parameters()
-
-
 # Candidate margin of _refine. With u = eps / 2, m the window length and
 # N = max ||s||^2 + ||q||^2, the gemv value ||s||^2 - 2 s.q (+ ||q||^2) and
 # the exact formula's fl(sum fl(s - q)^2) are within (2m + 2) u N and

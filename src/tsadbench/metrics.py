@@ -33,13 +33,13 @@ curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import AnomalySegment, extract_segments
-from .errors import ConfigError, EmptyDataset, NoPositiveEvents
+from .errors import ConfigError, EmptyDataset, NonFiniteScore, NoPositiveEvents
 
 _E = math.e
 _LOG = math.log
@@ -70,9 +70,6 @@ class EvalCriterion:
         k = f"_K{self.k_delay}" if self.k_delay is not None else ""
         return f"{self.variant}{k}_L{self.prolong_len}"
 
-    def with_k_delay(self, k_delay: int | None) -> "EvalCriterion":
-        return replace(self, k_delay=k_delay)
-
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
@@ -82,36 +79,27 @@ class EvalCriterion:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalCriterion":
-        known = {"variant", "k_delay", "prolong_len"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown criterion fields {sorted(extra)}")
-        return cls(
-            variant=d.get("variant", "reduced_length_pa"),
-            k_delay=d.get("k_delay"),
-            prolong_len=d.get("prolong_len", DEFAULT_PROLONG),
-        )
+        return cls(**d)
 
 
 def parse_criterion(spec: str) -> EvalCriterion:
     """Parse a CLI criterion spec like ``reduced_length_pa:k=3:l=9``."""
-    parts = spec.split(":")
-    variant = parts[0].strip()
-    k_delay = None
-    prolong = DEFAULT_PROLONG
-    for part in parts[1:]:
+    variant, *parts = spec.split(":")
+    options = {}
+    for part in parts:
         key, _, value = part.partition("=")
         key = key.strip().lower()
+        name = {"k": "k_delay", "l": "prolong_len"}.get(key)
+        if name is None:
+            raise ConfigError(f"unknown criterion option {key!r} in {spec!r}")
         try:
-            if key == "k":
-                k_delay = int(value)
-            elif key == "l":
-                prolong = int(value)
-            else:
-                raise ConfigError(f"unknown criterion option {key!r} in {spec!r}")
+            options[name] = int(value)
         except ValueError as exc:
             raise ConfigError(f"bad criterion option {part!r} in {spec!r}") from exc
-    return EvalCriterion(variant=variant, k_delay=k_delay, prolong_len=prolong)
+    return EvalCriterion(variant.strip(), **options)
 
 
 @dataclass(frozen=True)
@@ -329,6 +317,13 @@ class RankedScores:
     computed on first use and shared by every criterion evaluated on it."""
 
     def __init__(self, scores):
+        """Raises NonFiniteScore unless every score is finite."""
+        if isinstance(scores, np.ndarray):
+            finite = np.isfinite(scores).all()
+        else:
+            finite = all(map(math.isfinite, scores))
+        if not finite:
+            raise NonFiniteScore("scores must be finite")
         self.scores = scores
         self.n = len(scores)
 
@@ -549,10 +544,8 @@ def _sweep_point_wise(
 def _sweep_python(ranked: RankedScores, segments, criterion: EvalCriterion):
     if criterion.variant == "point_wise_pa":
         return _sweep_point_wise(ranked.values, segments, criterion.k_delay)
-    order = ranked.order
-    order = order.tolist() if isinstance(order, np.ndarray) else order
     weighted = criterion.variant == "reduced_length_pa"
-    return _sweep_event(ranked.values, order, segments, criterion.k_delay, weighted)
+    return _sweep_event(ranked.values, ranked.order, segments, criterion.k_delay, weighted)
 
 
 def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
