@@ -40,6 +40,7 @@ from .errors import (
     EmptyDataset,
     TooFewSeries,
     TsadError,
+    require_int,
 )
 from .extern import ExternalDetectorSpec, drive
 from .metrics import EvalCriterion, MetricReport, RankedScores, aggregate, evaluate_curve
@@ -65,6 +66,13 @@ class RunConfig:
     allow_statistical_pooling: bool = False
 
     def __post_init__(self):
+        require_int("seed", self.seed, 0)
+        require_int("workers", self.workers, 1)
+        if not isinstance(self.allow_statistical_pooling, bool):
+            raise ConfigError("allow_statistical_pooling must be true or false")
+        for name, k in self.k_delay_overrides.items():
+            if k is not None:
+                require_int(f"k_delay override for {name!r}", k, 0)
         if not self.datasets:
             raise ConfigError("need at least one dataset")
         if not self.detectors:
@@ -79,8 +87,6 @@ class RunConfig:
         names = [_detector_name(d) for d in self.detectors]
         if len(set(names)) != len(names):
             raise ConfigError(f"detector names must be unique, got {names}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def echo(self) -> dict:
         """Config as recorded in results.json.
@@ -148,7 +154,7 @@ def _parse_detector(entry) -> det.DetectorConfig | ExternalDetectorSpec:
         raise ConfigError(f"detector entries need a kind: {entry!r}")
     if entry["kind"] != "external":
         return det.DetectorConfig(**_fields_in(det.DetectorConfig, entry))
-    if not entry.get("command"):
+    if not isinstance(entry.get("command"), list) or not entry["command"]:
         raise ConfigError("external detector needs a command list")
     given = _fields_in(ExternalDetectorSpec, entry)
     return ExternalDetectorSpec(**{**given, "command": tuple(entry["command"])})
@@ -522,8 +528,11 @@ def evaluate_scores(
     """Recompute metrics from score dumps without re-running detectors.
 
     Walks ``<scores_root>/<dataset>/<schema>/<detector>/<curve>.csv`` for
-    the dataset named by the manifest; per-curve problems (truncated or
-    non-finite dumps) are recorded as failures.
+    the dataset named by the manifest; per-curve problems (truncated,
+    non-finite or missing dumps) are recorded as failures. Under naive and
+    all_in_one every detector directory must hold a dump for every kept
+    curve; zero_shot's held-out half depends on the run's seed, so there each
+    detector must hold the curves any detector of that schema dumped.
     """
     series, manifest = load_dataset(dataset_root)
     kept, _excluded = filter_anomaly_free(series)
@@ -543,19 +552,26 @@ def evaluate_scores(
         schema_dir = os.path.join(ds_dir, schema)
         if not os.path.isdir(schema_dir):
             continue
+        dumped: dict[str, list[str]] = {}  # detector -> curves, in file name order
         for detector in sorted(os.listdir(schema_dir)):
             det_dir = os.path.join(schema_dir, detector)
-            if not os.path.isdir(det_dir):
-                continue
-            for fname in sorted(os.listdir(det_dir)):
-                if not fname.endswith(".csv"):
-                    continue
-                curve = fname[: -len(".csv")]
-                if curve not in series_by_id:
-                    continue
+            if os.path.isdir(det_dir):
+                names = (f[: -len(".csv")] for f in sorted(os.listdir(det_dir)) if f.endswith(".csv"))
+                dumped[detector] = [c for c in names if c in series_by_id]
+        if schema in ("naive", "all_in_one"):
+            expected = set(series_by_id)
+        else:
+            expected = set().union(*dumped.values())
+        for detector, curves in dumped.items():
+            det_dir = os.path.join(schema_dir, detector)
+            for curve in sorted(expected.difference(curves)):
+                missing = DatasetError(f"no score dump {os.path.join(det_dir, curve)}.csv")
+                report.failures.append(_failure(manifest.name, schema, detector, [curve], missing))
+            for curve in curves:
                 series_obj = series_by_id[curve]
+                path = os.path.join(det_dir, f"{curve}.csv")
                 try:
-                    arr = _load_score_dump(os.path.join(det_dir, fname), series_obj.test_start)
+                    arr = _load_score_dump(path, series_obj.test_start)
                     scored = ScoreSeries(series_id=curve, scores=arr)
                     validate_scores(scored, series_obj)
                 except TsadError as exc:

@@ -17,7 +17,7 @@ import sys
 
 from . import bench, synth
 from .datasets import load_dataset
-from .errors import ConfigError, DatasetError, TsadError
+from .errors import ConfigError, DatasetError, TsadError, require_int
 from .metrics import parse_criterion
 from .schemas import SCHEMAS, build_plan
 
@@ -110,6 +110,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    require_int("--seed", args.seed, 0)
     series, _manifest = load_dataset(args.dataset)
     plan = build_plan(args.schema, series, args.seed)
     text = plan.to_json()

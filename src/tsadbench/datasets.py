@@ -23,6 +23,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import DEFAULT_RATIO, SplitSpec, TimeSeries, split_series
 from .errors import (
     InvariantViolation,
@@ -31,6 +33,10 @@ from .errors import (
 )
 
 CURVE_HEADER = "index,value,label"
+
+# Curve rows formatted and written per write call: bounds the text held in
+# memory for one curve.
+CURVE_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -200,15 +206,18 @@ def filter_anomaly_free(
     return kept, excluded
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_curve_csv(path: str, values: Sequence[float], labels: Sequence[int]) -> None:
+    """One row per (value, label) pair: the value as ``repr`` of its float64,
+    the label as an integer."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = min(len(values), len(labels))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CURVE_HEADER + "\n")
-        for i, (v, l) in enumerate(zip(values, labels)):
-            fh.write(f"{i},{_format_value(v)},{int(l)}\n")
+        for lo in range(0, n, CURVE_CHUNK_ROWS):
+            hi = min(lo + CURVE_CHUNK_ROWS, n)
+            rows = zip(range(lo, hi), values[lo:hi].tolist(), labels[lo:hi].tolist())
+            fh.write("".join([f"{i},{v!r},{l}\n" for i, v, l in rows]))
 
 
 def write_dataset(

@@ -25,7 +25,13 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InsufficientTrainingData, LengthMismatch
+from .errors import (
+    ConfigError,
+    InsufficientTrainingData,
+    LengthMismatch,
+    require_int,
+    require_number,
+)
 
 KINDS = ("ar", "first_diff", "sub_lof", "matrix_profile")
 
@@ -48,12 +54,15 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown detector kind {self.kind!r}")
+        require_int("window", self.window)
+        require_int("neighbors", self.neighbors, 1)
+        require_number("ridge", self.ridge)
+        if self.name is not None and not isinstance(self.name, str):
+            raise ConfigError(f"detector name must be a string, got {self.name!r}")
         if self.kind == "ar" and self.window < 1:
             raise ConfigError("ar needs window >= 1")
         if self.kind in ("sub_lof", "matrix_profile") and self.window < 2:
             raise ConfigError(f"{self.kind} needs window >= 2")
-        if self.neighbors < 1:
-            raise ConfigError("neighbors must be >= 1")
         if self.ridge < 0:
             raise ConfigError("ridge must be >= 0")
 

@@ -3,7 +3,13 @@
 Errors split into three families so the CLI can map them to exit codes:
 configuration problems (exit 1), dataset problems (exit 2), and per-task
 failures that are recorded in the run report without aborting the run.
+The config dataclasses check their value types with ``require_int`` and
+``require_number``, so a wrongly typed value is a ConfigError too.
 """
+
+from __future__ import annotations
+
+import numbers
 
 
 class TsadError(Exception):
@@ -12,6 +18,21 @@ class TsadError(Exception):
 
 class ConfigError(TsadError):
     """Invalid run or synth configuration."""
+
+
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """ConfigError unless value is an integer (a bool is not one) and at
+    least minimum, when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def require_number(name: str, value) -> None:
+    """ConfigError unless value is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 class DatasetError(TsadError):

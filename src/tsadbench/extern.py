@@ -36,6 +36,7 @@ from .errors import (
     NonZeroExit,
     ProtocolError,
     TsadError,
+    require_number,
 )
 from .schemas import Task
 
@@ -54,8 +55,12 @@ class ExternalDetectorSpec:
     message_timeout: float = 300.0
 
     def __post_init__(self):
-        if not self.command:
-            raise ConfigError("external detector needs a command")
+        if not self.command or not all(isinstance(c, str) for c in self.command):
+            raise ConfigError("external detector needs a command of strings")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"external detector name must be a string, got {self.name!r}")
+        require_number("startup_timeout", self.startup_timeout)
+        require_number("message_timeout", self.message_timeout)
         if self.startup_timeout <= 0 or self.message_timeout <= 0:
             raise ConfigError("timeouts must be positive")
 

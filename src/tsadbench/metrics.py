@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import AnomalySegment, extract_segments
-from .errors import ConfigError, EmptyDataset, NonFiniteScore, NoPositiveEvents
+from .errors import ConfigError, EmptyDataset, NonFiniteScore, NoPositiveEvents, require_int
 
 _E = math.e
 _LOG = math.log
@@ -60,10 +60,9 @@ class EvalCriterion:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown criterion variant {self.variant!r}")
-        if self.k_delay is not None and self.k_delay < 0:
-            raise ConfigError("k_delay must be >= 0")
-        if self.prolong_len < 0:
-            raise ConfigError("prolong_len must be >= 0")
+        if self.k_delay is not None:
+            require_int("k_delay", self.k_delay, 0)
+        require_int("prolong_len", self.prolong_len, 0)
 
     @property
     def label(self) -> str:

@@ -30,9 +30,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import TimeSeries, split_series
 from .datasets import write_dataset
-from .errors import ConfigError, PlanInfeasible
+from .errors import ConfigError, PlanInfeasible, require_int, require_number
 from .rng import SplitMix64
 
 ANOMALY_KINDS = ("global", "contextual", "seasonal", "trend", "shapelet")
@@ -57,8 +59,9 @@ class AnomalySpec:
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
             raise ConfigError(f"unknown anomaly kind {self.kind!r}")
-        if self.count < 1:
-            raise ConfigError("anomaly count must be >= 1")
+        require_int("anomaly count", self.count, 1)
+        require_int("anomaly min_len", self.min_len)
+        require_int("anomaly max_len", self.max_len)
         if not (1 <= self.min_len <= self.max_len):
             raise ConfigError("need 1 <= min_len <= max_len")
 
@@ -80,8 +83,17 @@ class SynthConfig:
     trend_slope: float = 0.05
 
     def __post_init__(self):
-        if self.length < 100:
-            raise ConfigError("length must be >= 100")
+        if not isinstance(self.id, str):
+            raise ConfigError(f"curve id must be a string, got {self.id!r}")
+        require_int("length", self.length, 100)
+        require_int("seed", self.seed, 0)
+        require_int("contextual_window", self.contextual_window)
+        for name in ("noise_sigma", "global_factor", "contextual_factor",
+                     "seasonal_factor", "trend_slope"):
+            require_number(name, getattr(self, name))
+        for name in ("periods", "amplitudes"):
+            for v in getattr(self, name):
+                require_number(name, v)
         if len(self.periods) != len(self.amplitudes) or not self.periods:
             raise ConfigError("periods and amplitudes must match and be non-empty")
         if any(p <= 1 for p in self.periods):
@@ -104,11 +116,21 @@ def _dominant(config: SynthConfig) -> int:
     return best
 
 
-def _base_value(config: SynthConfig, phases: Sequence[float], t: int) -> float:
-    return sum(
-        a * _sin_at(t, p, ph)
-        for a, p, ph in zip(config.amplitudes, config.periods, phases)
-    )
+def _base_signal(config: SynthConfig, phases: Sequence[float]) -> np.ndarray:
+    """Every sample's sum of sinusoids, bit-identical to ``_sin_at`` per term.
+
+    For t >= 0 and period > 0, ``fmod`` equals Python's ``t % period``; it
+    and ``/``, ``*`` and ``+`` round exactly as Python floats do, while
+    ``sin`` stays ``math.sin``. Terms are added one by one in period order,
+    starting from 0.0.
+    """
+    n = config.length
+    t = np.arange(n, dtype=np.float64)
+    total = np.zeros(n)
+    for a, p, ph in zip(config.amplitudes, config.periods, phases):
+        arg = _TWO_PI * (np.fmod(t, p) / p) + ph
+        total += a * np.fromiter(map(math.sin, arg.tolist()), np.float64, n)
+    return total
 
 
 @dataclass
@@ -158,13 +180,14 @@ def generate(config: SynthConfig) -> TimeSeries:
     n = config.length
     rng = SplitMix64(config.seed)
     phases = [_TWO_PI * rng.uniform() for _ in config.periods]
-    base = [_base_value(config, phases, t) for t in range(n)]
+    base_arr = _base_signal(config, phases)
     if config.noise_sigma > 0:
-        sigma = config.noise_sigma
-        noise = [sigma * rng.normal() for _ in range(n)]
+        noise_arr = config.noise_sigma * rng.normal_block(n)
     else:
-        noise = [0.0] * n
-    values = [b + e for b, e in zip(base, noise)]
+        noise_arr = np.zeros(n)
+    values = (base_arr + noise_arr).tolist()
+    base = base_arr.tolist()
+    noise = noise_arr.tolist()
     clean = values[:]
 
     mu_g = sum(clean) / n
@@ -245,6 +268,8 @@ def generate_dataset(
 
 
 def _anomaly_spec_from_dict(d: Mapping) -> AnomalySpec:
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"anomaly entries must be objects, got {d!r}")
     known = {"kind", "count", "min_len", "max_len"}
     extra = set(d) - known
     if extra:
@@ -263,11 +288,16 @@ def synth_config_from_dict(d: Mapping) -> SynthConfig:
         "inject_region", "seed", "global_factor", "contextual_factor",
         "contextual_window", "seasonal_factor", "trend_slope",
     }
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"synth curves must be objects, got {d!r}")
     extra = set(d) - known
     if extra:
         raise ConfigError(f"unknown synth fields {sorted(extra)}")
     if "id" not in d:
         raise ConfigError("synth curve needs an id")
+    for name in ("periods", "amplitudes", "anomalies"):
+        if not isinstance(d.get(name, []), list):
+            raise ConfigError(f"synth {name} must be a list")
     kwargs = dict(d)
     kwargs["periods"] = tuple(kwargs.get("periods", (50.0,)))
     kwargs["amplitudes"] = tuple(kwargs.get("amplitudes", (1.0,)))
@@ -283,5 +313,11 @@ def dataset_plan_from_json(doc: Mapping) -> tuple[str, int | None, list[SynthCon
         raise ConfigError("synth config must be an object with a curves list")
     name = doc.get("name", "synth")
     k_delay = doc.get("k_delay")
+    if not isinstance(name, str):
+        raise ConfigError(f"dataset name must be a string, got {name!r}")
+    if k_delay is not None:
+        require_int("k_delay", k_delay, 0)
+    if not isinstance(doc["curves"], list):
+        raise ConfigError("synth curves must be a list")
     configs = [synth_config_from_dict(c) for c in doc["curves"]]
     return name, k_delay, configs

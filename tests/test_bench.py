@@ -477,6 +477,53 @@ class TestDumpIndexColumn:
         assert code == 3
 
 
+class TestMissingDumps:
+    """A kept curve without a dump is a failure, not a smaller mean."""
+
+    def _run(self, small_dataset, tmp_path, schemas):
+        out = tmp_path / "out"
+        config = base_config(small_dataset, schemas=schemas, seed=3)
+        report = bench.run(config, str(out))
+        assert not report.failures
+        return out / "scores" / "mini", config
+
+    def _failures(self, scores, small_dataset, config):
+        again = bench.evaluate_scores(str(scores.parent), small_dataset, config.criteria)
+        return again, {(f["schema"], f["detector"], tuple(f["curves"])): f for f in again.failures}
+
+    @pytest.mark.parametrize("schema", ["naive", "all_in_one"])
+    def test_every_kept_curve_expected(self, small_dataset, tmp_path, schema):
+        scores, config = self._run(small_dataset, tmp_path, (schema,))
+        (scores / schema / "ar" / "c1.csv").unlink()
+        again, failures = self._failures(scores, small_dataset, config)
+        assert list(failures) == [(schema, "ar", ("c1",))]
+        assert failures[(schema, "ar", ("c1",))]["error"] == "DatasetError"
+        assert not any(r.curve == "c1" and r.detector == "ar" for r in again.rows)
+        assert len(again.rows) == (2 * 4 - 1) * len(config.criteria)
+
+    def test_zero_shot_expects_the_union_of_its_detectors(self, small_dataset, tmp_path):
+        scores, config = self._run(small_dataset, tmp_path, ("zero_shot",))
+        held_out = sorted(p.stem for p in (scores / "zero_shot" / "ar").iterdir())
+        assert len(held_out) == 2
+        assert self._failures(scores, small_dataset, config)[1] == {}
+        (scores / "zero_shot" / "first_diff" / f"{held_out[0]}.csv").unlink()
+        _again, failures = self._failures(scores, small_dataset, config)
+        assert list(failures) == [("zero_shot", "first_diff", (held_out[0],))]
+        # no detector left a dump for it: nothing shows it was held out
+        (scores / "zero_shot" / "ar" / f"{held_out[0]}.csv").unlink()
+        assert self._failures(scores, small_dataset, config)[1] == {}
+
+    def test_cli_eval_exits_with_partial_failure(self, small_dataset, tmp_path, capsys):
+        scores, _config = self._run(small_dataset, tmp_path, ("naive",))
+        (scores / "naive" / "first_diff" / "c0.csv").unlink()
+        code = cli_main(
+            ["eval", "-s", str(scores.parent), "-d", small_dataset,
+             "--criteria", "reduced_length_pa", "-o", str(tmp_path / "eval")]
+        )
+        assert code == 3
+        assert "7 metric rows, 1 failures" in capsys.readouterr().out
+
+
 class _FailingFile:
     """A text file that writes the first half of what it is given, then
     fails like a full disk."""
