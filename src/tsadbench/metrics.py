@@ -21,19 +21,16 @@ criterion evaluates every unique score value, activating points from the
 highest score down; ``best_f1``, ``auprc``, ``pr_curve`` and
 ``evaluate_criteria`` are views of it. Curves of up to ``SWEEP_CUTOFF``
 (64) points are swept by a Python loop that maintains alarm runs with
-endpoint links; longer ones by numpy, which replays the loop's additions
-in the loop's order, so both paths give bit-identical results. Point-wise
-and event-wise sweeps equal ``confusion_at_threshold`` at every threshold.
-The reduced-length FP weight is updated incrementally (run weights
-``ln(j + e)`` subtracted and added as runs merge), so it drifts from a
-fresh per-threshold sum by rounding: about 4e-12 relative on a 200k-point
-curve.
+endpoint links; longer ones by numpy. Reduced-length weights and aggregate
+means are correctly rounded sums (equal to ``math.fsum``), so no path
+depends on addition order: both sweeps equal ``confusion_at_threshold``
+bit for bit at every threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,11 +67,7 @@ class EvalCriterion:
         return f"{self.variant}{k}_L{self.prolong_len}"
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "k_delay": self.k_delay,
-            "prolong_len": self.prolong_len,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalCriterion":
@@ -219,6 +212,41 @@ def _run_weight(length: int, weighted: bool) -> float:
     return _LOG(length + _E) if weighted else 1.0
 
 
+# A weight ln(j + e) of up to 2**23 points lies in [1, 16), so w * 2**52 is
+# an integer below 2**56; the sweeps add such integers exactly, then round
+# once. ``_sums`` splits them into 26-bit low parts and high parts below
+# 2**30 and sums each part in int64: over at most 2**23 points every running
+# sum stays below 2**53, so converts to float exactly, and high * 2**26 + low
+# rounds once. Longer curves raise ValueError rather than round twice.
+_ONE = 2.0**52  # a weight of 1, scaled
+_SPLIT_LIMIT = 1 << 23
+_scaled: tuple[list[int], np.ndarray] = ([], np.zeros(0, dtype=np.int64))
+
+
+def _scaled_weights(size: int) -> tuple[list[int], np.ndarray]:
+    """``ln(j + e) * 2**52`` for j below ``size`` at least, as a list and an
+    int64 array; a grown table is a new one, so threads see no partial one."""
+    global _scaled
+    if size > _SPLIT_LIMIT + 1:
+        raise ValueError(f"reduced-length weights are exact up to {_SPLIT_LIMIT} points")
+    table = _scaled
+    if (have := len(table[0])) < size:
+        stop = min(max(size, 2 * have), _SPLIT_LIMIT + 1)
+        new = table[0] + [int(_LOG(j + _E) * _ONE) for j in range(have, stop)]
+        table = _scaled = (new, np.array(new, dtype=np.int64))
+    return table
+
+
+def _sums(terms: np.ndarray, reads, weighted: bool) -> np.ndarray:
+    """Running sums of int64 ``terms`` read at ``reads`` (read 0 is the empty
+    sum), as floats: counts as they are, scaled weights correctly rounded."""
+    if not weighted:
+        return 1.0 * np.concatenate(([0], terms.cumsum()))[reads]
+    high = np.concatenate(([0], (terms >> 26).cumsum()))[reads]
+    low = np.concatenate(([0], (terms & (1 << 26) - 1).cumsum()))[reads]
+    return (high * 2.0**26 + low) / _ONE
+
+
 def confusion_at_threshold(
     scores,
     segments: Sequence[ExtendedSegment],
@@ -243,14 +271,10 @@ def confusion_at_threshold(
         return WeightedConfusion(float(tp), float(fp), float(fn))
 
     weighted = criterion.variant == "reduced_length_pa"
-    tp = fn = 0.0
+    tp, fp, fn = [], [], []
     for seg in segments:
-        w = _run_weight(seg.orig_length, weighted)
-        if detected_within_delay(seg, scores, threshold, criterion.k_delay):
-            tp += w
-        else:
-            fn += w
-    fp = 0.0
+        hit = detected_within_delay(seg, scores, threshold, criterion.k_delay)
+        (tp if hit else fn).append(_run_weight(seg.orig_length, weighted))
     run_len = 0
     run_clean = True
     for p in range(n):
@@ -260,12 +284,12 @@ def confusion_at_threshold(
                 run_clean = False
         elif run_len:
             if run_clean:
-                fp += _run_weight(run_len, weighted)
+                fp.append(_run_weight(run_len, weighted))
             run_len = 0
             run_clean = True
     if run_len and run_clean:
-        fp += _run_weight(run_len, weighted)
-    return WeightedConfusion(tp, fp, fn)
+        fp.append(_run_weight(run_len, weighted))
+    return WeightedConfusion(math.fsum(tp), math.fsum(fp), math.fsum(fn))
 
 
 def prf_from_confusion(c) -> tuple[float, float, float]:
@@ -306,9 +330,6 @@ class _lazy:
     def __get__(self, obj, owner=None):
         value = obj.__dict__[self.compute.__name__] = self.compute(obj)
         return value
-
-
-_SIGNS = np.array([-1.0, -1.0, 1.0])  # the loop's terms: -left, -right, +merged run
 
 
 class RankedScores:
@@ -364,18 +385,6 @@ class RankedScores:
         later = _previous_later(np.concatenate((rank, [n], rank[::-1])))
         return order, later[:n][order] + 1, 2 * n - later[:n:-1][order]
 
-    @_lazy
-    def run_terms(self) -> np.ndarray:
-        """The loop's signed ``ln(j+e)`` terms per activated point, (n, 3)."""
-        p, lo, hi = self.runs
-        lengths = np.stack((p - lo, hi - p - 1, hi - lo), axis=1)
-        present = np.zeros(self.n + 1, dtype=bool)
-        present[lengths] = True
-        table = np.zeros(self.n + 1)
-        uniq = np.flatnonzero(present)
-        table[uniq] = [_LOG(j + _E) for j in uniq.tolist()]
-        return _SIGNS * table[lengths]
-
 
 def _ranked(scores) -> RankedScores:
     return scores if isinstance(scores, RankedScores) else RankedScores(scores)
@@ -421,21 +430,20 @@ def _sweep_event(
     Points are activated from the highest score down; alarm runs are
     maintained via endpoint links (activating a point either starts a run,
     extends one, or merges two). A run touching any extended segment is
-    tainted and contributes no FP weight.
+    tainted and contributes no FP weight. Weights are added as integers
+    (counts, or scaled reduced-length weights) and rounded once per value.
     """
     n = len(scores)
-    det = []
-    total_w = 0.0
-    for seg in segments:
-        hi = _detect_window_end(seg, k_delay)
-        peak = max(scores[seg.start : hi + 1])
-        w = _run_weight(seg.orig_length, weighted)
-        det.append((peak, w))
-        total_w += w
-    det.sort(key=lambda pw: pw[0], reverse=True)
+    run_w = _scaled_weights(n + 1)[0] if weighted else [1] * (n + 1)
+    unit = 1 / _ONE if weighted else 1.0  # int * unit rounds once, exactly as float(int)
+    det = sorted(
+        ((max(scores[s.start : _detect_window_end(s, k_delay) + 1]), run_w[s.orig_length])
+         for s in segments),
+        reverse=True,
+    )
+    total_w = sum(w for _, w in det)
 
     in_seg = _segment_mask(segments, n)
-    run_w = [_run_weight(j, weighted) for j in range(n + 1)]
     other_end = list(range(n))
     active = bytearray(n)
     tainted = bytearray(n)  # meaningful at a run's left endpoint
@@ -444,9 +452,8 @@ def _sweep_event(
     tps: list[float] = []
     fps: list[float] = []
     fns: list[float] = []
-    tp_w = 0.0
-    fp_w = 0.0
-    clean_runs = 0  # exact count; forces fp to 0.0 when no clean run is left
+    tp_w = 0
+    fp_w = 0
     seg_i = 0
     n_seg = len(det)
     i = 0
@@ -463,7 +470,6 @@ def _sweep_event(
                     taint = True
                 else:
                     fp_w -= run_w[p - ll]
-                    clean_runs -= 1
                 left = ll
             if p + 1 < n and active[p + 1]:
                 rr = other_end[p + 1]
@@ -471,7 +477,6 @@ def _sweep_event(
                     taint = True
                 else:
                     fp_w -= run_w[rr - p]
-                    clean_runs -= 1
                 right = rr
             active[p] = 1
             other_end[left] = right
@@ -479,17 +484,16 @@ def _sweep_event(
             tainted[left] = 1 if taint else 0
             if not taint:
                 fp_w += run_w[right - left + 1]
-                clean_runs += 1
             j += 1
         while seg_i < n_seg and det[seg_i][0] >= t:
             tp_w += det[seg_i][1]
             seg_i += 1
         thresholds.append(t)
-        tps.append(tp_w)
-        fps.append(fp_w if clean_runs else 0.0)
-        fns.append(total_w - tp_w)
+        tps.append(tp_w * unit)
+        fps.append(fp_w * unit)
+        fns.append((total_w - tp_w) * unit)
         i = j
-    return thresholds, tps, fps, fns, total_w
+    return thresholds, tps, fps, fns, total_w * unit
 
 
 def _sweep_point_wise(
@@ -550,19 +554,18 @@ def _sweep_python(ranked: RankedScores, segments, criterion: EvalCriterion):
 def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     """The sweep as array operations, equal to ``_sweep_python`` bit for bit.
 
-    A segment passes every threshold up to its peak; segments sorted by
-    descending peak (a stable sort, as in the loop) are counted with
-    ``searchsorted``. Point-wise FPs count the out-of-segment points up to
-    each tie group's end. Event FPs are the cumulative sum of the loop's
-    own terms in the loop's own order, with 0.0 where the loop adds
-    nothing, read at each tie group's end.
+    A segment passes every threshold up to its peak, so ``searchsorted`` on
+    sorted peaks counts them. Point-wise FPs count out-of-segment points; an
+    event sweep's point adds the clean run it completes and removes those it
+    joins. Sums are read at tie group ends, exact before their one rounding.
     """
     n = ranked.n
     ends, event_thresholds, point_thresholds = ranked.ties
+    k = criterion.k_delay
     bounds = np.array(
-        [(s.start, _detect_window_end(s, criterion.k_delay) + 1, s.end + 1) for s in segments],
+        [(s.start, _detect_window_end(s, k) + 1, s.end + 1, s.orig_end + 1) for s in segments],
         dtype=np.intp,
-    ).reshape(-1, 3)
+    ).reshape(-1, 4)
     padded = np.append(ranked.array, -math.inf)  # a peak window may end at n
     peaks = np.maximum.reduceat(padded, bounds[:, :2].ravel())[::2]
     marks = np.zeros(n + 1, dtype=np.intp)
@@ -571,32 +574,31 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     in_seg = marks.cumsum()
     weighted = criterion.variant == "reduced_length_pa"
     if criterion.variant == "point_wise_pa":
-        thresholds, weights = point_thresholds, 1.0 * (bounds[:, 2] - bounds[:, 0])
+        thresholds, weights = point_thresholds, bounds[:, 2] - bounds[:, 0]
+    elif weighted:
+        table = _scaled_weights(n + 1)[1]
+        thresholds, weights = event_thresholds, table[bounds[:, 3] - bounds[:, 0]]
     else:
-        thresholds = event_thresholds
-        weights = np.array([_run_weight(s.orig_length, weighted) for s in segments])
-    peak_list = peaks.tolist()
-    by_peak = sorted(range(len(peak_list)), key=peak_list.__getitem__, reverse=True)
-    passed = len(peaks) - np.searchsorted(peaks[by_peak][::-1], thresholds)
-    tps = np.concatenate(([0.0], weights[by_peak].cumsum()))[passed]
-    total = float(weights.cumsum()[-1]) if len(segments) else 0.0
+        thresholds, weights = event_thresholds, np.ones(len(bounds), dtype=np.intp)
+    up = np.argsort(peaks)
+    missed = np.searchsorted(peaks[up], thresholds)  # segments peaking below t
+    tps = _sums(weights[up[::-1]], len(peaks) - missed, weighted)
+    fns = _sums(weights[up], missed, weighted)
+    total = float(_sums(weights, len(peaks), weighted))
     if criterion.variant == "point_wise_pa":
-        fps = 1.0 * (1 - in_seg[ranked.order]).cumsum()[ends]
-        return thresholds, tps, fps, total - tps, total
+        return thresholds, tps, _sums(1 - in_seg[ranked.order], ends + 1, False), fns, total
 
     p, lo, hi = ranked.runs
     before = np.concatenate(([0], in_seg.cumsum()))  # in-segment points before i
     at_lo, at_p, after_p, at_hi = before[lo], before[p], before[p + 1], before[hi]
-    clean = np.empty((n, 3), dtype=bool)
-    np.logical_and(lo < p, at_lo == at_p, out=clean[:, 0])
-    np.logical_and(p + 1 < hi, after_p == at_hi, out=clean[:, 1])
-    np.equal(at_lo, at_hi, out=clean[:, 2])
-    reads = 3 * ends + 2
-    clean_runs = np.where(clean, _SIGNS, 0.0).cumsum()[reads]  # = fp when unweighted
+    left = (lo < p) & (at_lo == at_p)  # [lo, p) was a clean run
+    right = (p + 1 < hi) & (after_p == at_hi)  # so was (p, hi)
+    merged = at_lo == at_hi  # [lo, hi) is one
     if weighted:
-        fp_w = np.where(clean, ranked.run_terms, 0.0).cumsum()[reads]
-        return thresholds, tps, np.where(clean_runs > 0, fp_w, 0.0), total - tps, total
-    return thresholds, tps, clean_runs, total - tps, total
+        terms = merged * table[hi - lo] - left * table[p - lo] - right * table[hi - p - 1]
+    else:
+        terms = 1 * merged - left - right
+    return thresholds, tps, _sums(terms, ends + 1, weighted), fns, total
 
 
 def _sweep(ranked: RankedScores, segments, criterion: EvalCriterion):
@@ -728,6 +730,12 @@ class OverallScore:
     dataset_count: int
 
 
+def _means(pairs: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    """Column means, each a correctly rounded sum (``math.fsum``) over the
+    count, so the order the rows arrive in does not matter."""
+    return tuple(math.fsum(column) / len(pairs) for column in zip(*pairs))
+
+
 def aggregate(
     per_dataset: Mapping[str, Sequence[MetricReport]],
 ) -> tuple[list[DatasetScore], OverallScore]:
@@ -740,17 +748,7 @@ def aggregate(
         reports = per_dataset[name]
         if not reports:
             raise EmptyDataset(f"dataset {name!r} has no curves")
-        dataset_scores.append(
-            DatasetScore(
-                dataset=name,
-                f1_best_mean=sum(r.f1_best for r in reports) / len(reports),
-                auprc_mean=sum(r.auprc for r in reports) / len(reports),
-                curve_count=len(reports),
-            )
-        )
-    overall = OverallScore(
-        f1_best_mean=sum(d.f1_best_mean for d in dataset_scores) / len(dataset_scores),
-        auprc_mean=sum(d.auprc_mean for d in dataset_scores) / len(dataset_scores),
-        dataset_count=len(dataset_scores),
-    )
-    return dataset_scores, overall
+        means = _means([(r.f1_best, r.auprc) for r in reports])
+        dataset_scores.append(DatasetScore(name, *means, len(reports)))
+    means = _means([(d.f1_best_mean, d.auprc_mean) for d in dataset_scores])
+    return dataset_scores, OverallScore(*means, len(dataset_scores))

@@ -260,6 +260,43 @@ class TestEvaluateScores:
         assert errors[("ar", "c1")] == "NonFiniteScore"
 
 
+class TestAggregateOrder:
+    def test_curve_order_does_not_change_aggregates(self, tmp_path):
+        # the manifest lists its curves in reverse: run visits them in
+        # manifest order, evaluate_scores in file name order
+        configs = [
+            SynthConfig(
+                id=f"c{i:02d}",
+                length=300,
+                seed=100 + i,
+                noise_sigma=0.05,
+                anomalies=(
+                    AnomalySpec(kind="global", count=2),
+                    AnomalySpec(kind="contextual", count=2),
+                ),
+            )
+            for i in reversed(range(30))
+        ]
+        root = str(tmp_path / "ds")
+        generate_dataset(configs, root, name="reversed")
+        config = base_config(
+            root,
+            detectors=(DetectorConfig(kind="first_diff"),),
+            criteria=(
+                EvalCriterion("point_wise_pa"),
+                EvalCriterion("event_wise_pa", k_delay=3),
+                EvalCriterion("reduced_length_pa"),
+            ),
+        )
+        out = tmp_path / "out"
+        report = bench.run(config, str(out))
+        again = bench.evaluate_scores(str(out / "scores"), root, config.criteria)
+        assert [r.to_dict() for r in again.sorted_rows()] == [
+            r.to_dict() for r in report.sorted_rows()
+        ]
+        assert again.aggregates() == report.aggregates()
+
+
 class TestEmitReports:
     def test_table_ranking(self, tmp_path, small_dataset):
         out = tmp_path / "out"

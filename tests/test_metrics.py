@@ -315,9 +315,9 @@ class TestSweepMatchesDirectEvaluation:
                         segs = prolong_segments(extract_segments(labels), length, n)
                         for t, tp, fp, fn in zip(ths, tps, fps, fns):
                             c = confusion_at_threshold(scores, segs, t, crit)
-                            assert abs(tp - c.tp) < 1e-9
-                            assert abs(fp - c.fp) < 1e-9
-                            assert abs(fn - c.fn) < 1e-9
+                            assert tp == c.tp
+                            assert fp == c.fp
+                            assert fn == c.fn
 
     def test_matches_independent_oracle(self):
         from tsadbench.rng import SplitMix64

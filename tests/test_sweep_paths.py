@@ -3,11 +3,14 @@ sweep (longer curves) must agree bit for bit on the same ranking.
 
 Both paths are run on one RankedScores, so they see the same activation
 order, and compared with ``==`` plus the sign of zero (``float.hex``).
-A long curve is also checked against the brute-force oracle.
+A long curve is also checked against the brute-force oracle and, for
+reduced-length weights, against ``confusion_at_threshold`` (``math.fsum``).
 """
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from tsadbench.metrics import (
     EvalCriterion,
     RankedScores,
     best_f1,
+    confusion_at_threshold,
     evaluate_criteria,
     evaluate_curve,
     prf_from_confusion,
@@ -51,6 +55,7 @@ def assert_paths_agree_one(scores, labels, criterion):
         assert _bits(a) == _bits(b.tolist())
     assert slow[4] == fast[4]
     assert metrics._report(slow, criterion) == metrics._report(fast, criterion)
+    return slow
 
 
 def assert_paths_agree(scores, labels):
@@ -169,7 +174,8 @@ def test_evaluate_criteria_equals_one_call_per_criterion():
 
 class TestLongCurve:
     """One 120k-point curve: point-wise and event-wise match the oracle;
-    reduced-length matches the pure-Python sweep bit for bit."""
+    reduced-length matches the pure-Python sweep and the definition bit for
+    bit."""
 
     N = 120_000
 
@@ -183,6 +189,13 @@ class TestLongCurve:
         quantized = [rng.randint(16) / 15.0 for _ in range(self.N)]
         unique = [rng.uniform() for _ in range(self.N)]
         return labels, quantized, unique
+
+    @pytest.fixture(scope="class")
+    def isolated(self):
+        # above 0.5 only every other point alarms: tens of thousands of
+        # single-point false alarms, many terms in every FP sum
+        rng = SplitMix64(2025)
+        return [(p % 2 + rng.uniform()) / 2 for p in range(self.N)]
 
     @pytest.mark.parametrize("variant", ["point_wise_pa", "event_wise_pa"])
     def test_matches_oracle(self, curve, variant):
@@ -203,8 +216,65 @@ class TestLongCurve:
         assert report.best_threshold == threshold
         assert abs(report.auprc - area) <= 1e-12
 
-    @pytest.mark.parametrize("kind", [1, 2], ids=["quantized", "unique"])
-    def test_reduced_length_bit_identical_to_loop(self, curve, kind):
-        labels, scores = curve[0], curve[kind]
+    @pytest.mark.parametrize("kind", [1, 2, 3], ids=["quantized", "unique", "isolated"])
+    def test_reduced_length_bit_identical_to_loop(self, curve, isolated, kind):
+        labels, scores = curve[0], (*curve, isolated)[kind]
+        segments = prolong_segments(extract_segments(labels), 9, self.N)
         for k in (None, 3):
-            assert_paths_agree_one(scores, labels, EvalCriterion("reduced_length_pa", k_delay=k))
+            criterion = EvalCriterion("reduced_length_pa", k_delay=k, prolong_len=9)
+            slow = assert_paths_agree_one(scores, labels, criterion)
+            thresholds = slow[0]
+            for i in range(0, len(thresholds), max(1, len(thresholds) // 200)):
+                want = confusion_at_threshold(scores, segments, thresholds[i], criterion)
+                assert _bits([column[i] for column in slow[1:4]]) == _bits(want), (k, i)
+
+
+def test_reduced_length_past_split_limit_raises(monkeypatch):
+    # the real limit, 2**23 points, keeps every weight below 16 and every
+    # split running sum below 2**53
+    assert math.log(metrics._SPLIT_LIMIT + math.e) < 16
+    assert metrics._SPLIT_LIMIT * 2**30 <= 2**53
+    with pytest.raises(ValueError):
+        metrics._scaled_weights(metrics._SPLIT_LIMIT + 2)
+    monkeypatch.setattr(metrics, "_SPLIT_LIMIT", 100)
+    rng = SplitMix64(3)
+    for n in (64, 100, 101, 150):
+        scores, labels = _scores(rng, n, False), _random_labels(rng, n)
+        labels[0] = 1
+        criterion = EvalCriterion("reduced_length_pa")
+        if n <= 100:
+            evaluate_curve(scores, labels, criterion)
+        else:
+            with pytest.raises(ValueError):
+                evaluate_curve(scores, labels, criterion)
+        evaluate_curve(scores, labels, EvalCriterion("event_wise_pa"))
+
+
+def test_weight_table_grows_safely_across_threads(monkeypatch):
+    monkeypatch.setattr(metrics, "_scaled", ([], np.zeros(0, dtype=np.int64)))
+    want = [int(math.log(j + math.e) * 2**52) for j in range(5000)]
+    errors = []
+
+    def grow(seed):
+        rng = SplitMix64(seed)
+        try:
+            for _ in range(200):
+                size = 1 + rng.randint(5000)
+                listed, array = metrics._scaled_weights(size)
+                assert len(listed) >= size and array.tolist() == listed
+                assert listed[size - 1] == want[size - 1]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
