@@ -210,29 +210,8 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
     k = min(config.neighbors, n - 1)
     if k < 1:
         raise InsufficientTrainingData("sub_lof needs at least two training windows")
-    kdist = np.empty(n)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    # BLAS rounding depends on the Gram block's shape, so the block size is
-    # part of the k-distances' bits; each block is finished in chunks of rows
-    # that stay in cache.
-    block = max(1, (1 << 22) // max(n, 1))
-    chunk = max(1, (1 << 16) // n)
     sq_norms, max_sq_norm = _sq_norms(store)
-    for lo in range(0, n, block):
-        gram = store[lo : lo + block] @ store.T
-        for c in range(0, len(gram), chunk):
-            d = gram[c : c + chunk]  # distance rows lo + c onwards, in place
-            local = np.arange(len(d))
-            rows = lo + c + local
-            d *= -2.0
-            d += sq_norms[rows, None]
-            d += sq_norms[None, :]
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            d[local, rows] = np.inf  # exclude self
-            nb = _knn_rows(d, k)
-            neighbors[rows] = nb
-            kdist[rows] = d[local, nb[:, -1]]
+    kdist, neighbors = _store_knn(store, sq_norms, k)
     reach = np.maximum(kdist[neighbors], _pairwise_rows(store, neighbors))
     lrd = 1.0 / (reach.mean(axis=1) + _LRD_EPS)
     return FittedDetector(
@@ -246,9 +225,52 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
     )
 
 
+def _store_knn(
+    store: np.ndarray, sq_norms: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each stored window's k-distance and k nearest other windows (ties by
+    index), from the norm expansion on a Gram matrix built block by block.
+
+    BLAS rounding depends on the Gram block's shape, so the block height,
+    (1 << 22) // n rows, is part of the k-distances' bits. Every block is
+    written into one buffer of that height, at most 2**22 float64 values
+    (32 MiB), which is freed on return; each block is finished in chunks of
+    rows that stay in cache.
+    """
+    n = len(store)
+    kdist = np.empty(n)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    block = max(1, (1 << 22) // n)
+    chunk = max(1, (1 << 16) // n)
+    buf = np.empty((min(block, n), n))
+    for lo in range(0, n, block):
+        gram = np.matmul(store[lo : lo + block], store.T, out=buf[: min(block, n - lo)])
+        for c in range(0, len(gram), chunk):
+            d = gram[c : c + chunk]  # distance rows lo + c onwards, in place
+            local = np.arange(len(d))
+            rows = lo + c + local
+            d *= -2.0
+            d += sq_norms[rows, None]
+            d += sq_norms[None, :]
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            d[local, rows] = np.inf  # exclude self
+            nb = _knn_rows(d, k)
+            neighbors[rows] = nb
+            kdist[rows] = d[local, nb[:, -1]]
+    return kdist, neighbors
+
+
 def _pairwise_rows(store: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    diffs = store[:, None, :] - store[neighbors]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    """``sqrt(sum((store[i] - store[neighbors[i, j]])**2))`` for every (i, j),
+    in chunks of rows that hold at most 2**18 differences at once."""
+    n, k = neighbors.shape
+    step = max(1, (1 << 18) // (k * store.shape[1]))
+    sq = np.empty((n, k))
+    for lo in range(0, n, step):
+        diffs = store[lo : lo + step, None, :] - store[neighbors[lo : lo + step]]
+        sq[lo : lo + step] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    return np.sqrt(sq, out=sq)
 
 
 # Candidate margin of _refine. With u = eps / 2, m the window length and

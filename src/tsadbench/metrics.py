@@ -29,6 +29,7 @@ bit for bit at every threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -169,6 +170,15 @@ def _as_list(scores) -> list[float]:
     return [float(v) for v in scores]
 
 
+def _require_finite(scores) -> None:
+    if isinstance(scores, np.ndarray):
+        finite = np.isfinite(scores).all()
+    else:
+        finite = all(map(math.isfinite, scores))
+    if not finite:
+        raise NonFiniteScore("scores must be finite")
+
+
 def _detect_window_end(seg: ExtendedSegment, k_delay: int | None) -> int:
     return seg.end if k_delay is None else min(seg.end, seg.start + k_delay)
 
@@ -206,10 +216,6 @@ def detected_within_delay(
     scores = _as_list(scores)
     hi = _detect_window_end(segment, k_delay)
     return any(scores[p] >= threshold for p in range(segment.start, hi + 1))
-
-
-def _run_weight(length: int, weighted: bool) -> float:
-    return _LOG(length + _E) if weighted else 1.0
 
 
 # A weight ln(j + e) of up to 2**23 points lies in [1, 16), so w * 2**52 is
@@ -253,7 +259,11 @@ def confusion_at_threshold(
     threshold: float,
     criterion: EvalCriterion,
 ) -> WeightedConfusion:
-    """Confusion counts at one threshold; segments must already be prolonged."""
+    """Confusion counts at one threshold; segments must already be prolonged.
+
+    Raises NonFiniteScore unless every score is finite.
+    """
+    _require_finite(scores)
     scores = _as_list(scores)
     n = len(scores)
     in_seg = _segment_mask(segments, n)
@@ -271,24 +281,26 @@ def confusion_at_threshold(
         return WeightedConfusion(float(tp), float(fp), float(fn))
 
     weighted = criterion.variant == "reduced_length_pa"
+    weight = functools.cache(lambda length: _LOG(length + _E) if weighted else 1.0)
     tp, fp, fn = [], [], []
     for seg in segments:
-        hit = detected_within_delay(seg, scores, threshold, criterion.k_delay)
-        (tp if hit else fn).append(_run_weight(seg.orig_length, weighted))
+        hi = _detect_window_end(seg, criterion.k_delay)
+        hit = max(scores[seg.start : hi + 1]) >= threshold
+        (tp if hit else fn).append(weight(seg.orig_length))
     run_len = 0
     run_clean = True
-    for p in range(n):
-        if scores[p] >= threshold:
+    for value, inside in zip(scores, in_seg):
+        if value >= threshold:
             run_len += 1
-            if in_seg[p]:
+            if inside:
                 run_clean = False
         elif run_len:
             if run_clean:
-                fp.append(_run_weight(run_len, weighted))
+                fp.append(weight(run_len))
             run_len = 0
             run_clean = True
     if run_len and run_clean:
-        fp.append(_run_weight(run_len, weighted))
+        fp.append(weight(run_len))
     return WeightedConfusion(math.fsum(tp), math.fsum(fp), math.fsum(fn))
 
 
@@ -338,12 +350,7 @@ class RankedScores:
 
     def __init__(self, scores):
         """Raises NonFiniteScore unless every score is finite."""
-        if isinstance(scores, np.ndarray):
-            finite = np.isfinite(scores).all()
-        else:
-            finite = all(map(math.isfinite, scores))
-        if not finite:
-            raise NonFiniteScore("scores must be finite")
+        _require_finite(scores)
         self.scores = scores
         self.n = len(scores)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,24 @@ class TestSubLof:
         fitted = self._uniform_store_fit()
         assert fitted.count_parameters() == 0
         assert fitted.store_size == 51
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_fit_holds_one_gram_block(self, k):
+        # 3,000 windows span three Gram blocks; fit may hold one block plus
+        # O(n k) state and cache-sized chunks at a time, never two blocks
+        n, m = 3000, 32
+        pool = np.array(rand_list(21, n + m - 1, -1, 1))
+        block_bytes = (1 << 22) // n * n * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fitted = fit(DetectorConfig(kind="sub_lof", window=m, neighbors=k), [pool])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fitted.store_size == n
+        assert peak <= 1.25 * block_bytes + fitted.store.nbytes
 
 
 class TestMatrixProfile:

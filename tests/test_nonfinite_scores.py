@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tsadbench import metrics
+from tsadbench.core import extract_segments
 from tsadbench.errors import NonFiniteScore
 from tsadbench.metrics import EvalCriterion, RankedScores
 
@@ -43,6 +44,9 @@ ENTRY_POINTS = {
     "auprc": metrics.auprc,
     "pr_curve": metrics.pr_curve,
     "sweep_confusions": metrics.sweep_confusions,
+    "confusion_at_threshold": lambda s, y, c: metrics.confusion_at_threshold(
+        s, metrics.prolong_segments(extract_segments(y), c.prolong_len, len(y)), 0.5, c
+    ),
 }
 
 

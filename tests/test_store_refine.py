@@ -52,6 +52,9 @@ STORES = [
     ),
     ("dc_offset", 1e6 + 1e-3 * uniform(12, 100), 1e6 + 1e-3 * uniform(14, 30), 8),
     ("twelve_windows", uniform(15, 15), uniform(16, 10), 4),  # fewer than 50 neighbors
+    # 3,000 windows: fit's Gram blocks are (1 << 22) // 3000 = 1,398 rows, so
+    # two full blocks and a short one of 204
+    ("three_blocks", uniform(19, 3007), uniform(20, 12), 8),
 ]
 
 
