@@ -41,6 +41,7 @@ POOLING_UNSUPPORTED = frozenset({"sub_lof", "matrix_profile"})
 
 _CONST_STD = 1e-12
 _LRD_EPS = 1e-10
+_CHUNK = 1 << 16  # float64 values per block of sub_lof fit's working arrays
 
 
 @dataclass(frozen=True)
@@ -123,23 +124,24 @@ def _znorm_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, means, stds
 
 
-def _knn_rows(dists: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of its k smallest entries ordered by (value, index).
+def _knn_rows(
+    rows: np.ndarray, cols: np.ndarray, dists: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the k candidate columns ordered by (distance, column), and
+    their distances, as two (rows, k) arrays.
 
-    Ties at the k-th value resolve by index too: the candidates are every
-    entry up to the row's k-th smallest value, sorted in full.
+    Candidates are (row, column, distance) triples; every row from 0 up to
+    the largest must have at least k of them.
     """
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(dists <= kth)
-    order = np.lexsort((cols, dists[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # position within its row
-    return cols[rank < k].reshape(-1, k)
+    order = np.lexsort((cols, dists, rows))
+    rows, cols, dists = rows[order], cols[order], dists[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k  # rank within its row
+    return cols[keep].reshape(-1, k), dists[keep].reshape(-1, k)
 
 
 def _knn_indices(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries, ordered by (value, index): the
-    1-d form of ``_knn_rows`` for short arrays."""
+    dense 1-d form of ``_knn_rows``."""
     return np.argsort(dists, kind="stable")[:k]
 
 
@@ -211,8 +213,9 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
     if k < 1:
         raise InsufficientTrainingData("sub_lof needs at least two training windows")
     sq_norms, max_sq_norm = _sq_norms(store)
-    kdist, neighbors = _store_knn(store, sq_norms, k)
-    reach = np.maximum(kdist[neighbors], _pairwise_rows(store, neighbors))
+    neighbors, dists = _store_knn(store, sq_norms, max_sq_norm, k)
+    kdist = dists[:, -1].copy()
+    reach = np.maximum(kdist[neighbors], dists)
     lrd = 1.0 / (reach.mean(axis=1) + _LRD_EPS)
     return FittedDetector(
         config=config,
@@ -226,51 +229,39 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
 
 
 def _store_knn(
-    store: np.ndarray, sq_norms: np.ndarray, k: int
+    store: np.ndarray, sq_norms: np.ndarray, max_sq: float, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each stored window's k-distance and k nearest other windows (ties by
-    index), from the norm expansion on a Gram matrix built block by block.
+    """Each stored window's k nearest other windows (ties by index) and their
+    exact distances, the last of which is its k-distance.
 
-    BLAS rounding depends on the Gram block's shape, so the block height,
-    (1 << 22) // n rows, is part of the k-distances' bits. Every block is
-    written into one buffer of that height, at most 2**22 float64 values
-    (32 MiB), which is freed on return; each block is finished in chunks of
-    rows that stay in cache.
+    ``_refine``'s rule over chunks of rows: one matmul gives the approximate
+    squared distances of at most ``_CHUNK`` pairs, and every pair that the
+    rounding bound cannot rule out of a row's k nearest is re-measured with
+    ``sqrt(sum((s - q)**2))``. The result depends on neither BLAS nor the
+    chunk height.
     """
-    n = len(store)
-    kdist = np.empty(n)
+    n, m = store.shape
     neighbors = np.empty((n, k), dtype=np.int64)
-    block = max(1, (1 << 22) // n)
-    chunk = max(1, (1 << 16) // n)
-    buf = np.empty((min(block, n), n))
-    for lo in range(0, n, block):
-        gram = np.matmul(store[lo : lo + block], store.T, out=buf[: min(block, n - lo)])
-        for c in range(0, len(gram), chunk):
-            d = gram[c : c + chunk]  # distance rows lo + c onwards, in place
-            local = np.arange(len(d))
-            rows = lo + c + local
-            d *= -2.0
-            d += sq_norms[rows, None]
-            d += sq_norms[None, :]
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            d[local, rows] = np.inf  # exclude self
-            nb = _knn_rows(d, k)
-            neighbors[rows] = nb
-            kdist[rows] = d[local, nb[:, -1]]
-    return kdist, neighbors
-
-
-def _pairwise_rows(store: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """``sqrt(sum((store[i] - store[neighbors[i, j]])**2))`` for every (i, j),
-    in chunks of rows that hold at most 2**18 differences at once."""
-    n, k = neighbors.shape
-    step = max(1, (1 << 18) // (k * store.shape[1]))
-    sq = np.empty((n, k))
+    dists = np.empty((n, k))
+    step = max(1, _CHUNK // n)
+    piece = max(1, _CHUNK // m)  # candidate pairs whose differences fit a chunk
     for lo in range(0, n, step):
-        diffs = store[lo : lo + step, None, :] - store[neighbors[lo : lo + step]]
-        sq[lo : lo + step] = np.einsum("ijk,ijk->ij", diffs, diffs)
-    return np.sqrt(sq, out=sq)
+        local = np.arange(min(step, n - lo))
+        approx = store[lo : lo + step] @ store.T
+        approx *= -2.0
+        approx += sq_norms
+        approx[local, lo + local] = np.inf  # exclude self
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        tol = _tol(m, max_sq, sq_norms[lo : lo + step])
+        rows, cols = np.nonzero(approx <= (kth + 2.0 * tol)[:, None])
+        exact = np.empty(len(rows))
+        for a in range(0, len(rows), piece):
+            diff = store[cols[a : a + piece]]
+            diff -= store[lo + rows[a : a + piece]]
+            exact[a : a + piece] = np.einsum("ij,ij->i", diff, diff)
+        nb, d = _knn_rows(rows, cols, np.sqrt(exact, out=exact), k)
+        neighbors[lo : lo + step], dists[lo : lo + step] = nb, d
+    return neighbors, dists
 
 
 # Candidate margin of _refine. With u = eps / 2, m the window length and
@@ -283,6 +274,11 @@ def _pairwise_rows(store: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
 # to the same square root; 2 tol leaves (8m + 12) u N beyond that for
 # second-order terms and the rounding of the threshold itself.
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _tol(m: int, max_sq, q_sq):
+    """The bound tol above, for window length m and query squared norm(s)."""
+    return 4.0 * (m + 2) * _EPS * (max_sq + q_sq)
 
 
 def _refine(
@@ -300,7 +296,7 @@ def _refine(
     approx *= -2.0
     approx += sq_norms
     kth = approx.min() if k == 1 else np.partition(approx, k - 1)[k - 1]
-    tol = 4.0 * (len(q) + 2) * _EPS * (max_sq + float(q @ q))
+    tol = _tol(len(q), max_sq, float(q @ q))
     cand = np.flatnonzero(approx <= kth + 2.0 * tol)
     diff = rows[cand]
     diff -= q

@@ -292,25 +292,20 @@ def _nearest(dists, k):
 def lof_store_diff_matrix(store, k):
     """sub_lof's fitted (k-distance, lrd) per stored window, row by row.
 
-    Store distances use the norm expansion on a Gram matrix built, as fit
-    builds it, in blocks of (1 << 22) // n rows: BLAS rounding depends on
-    the block's shape. Each row's neighbors exclude itself.
+    Each row's distances to every stored window come from the difference
+    matrix; its neighbors exclude itself.
     """
     store = np.ascontiguousarray(store, dtype=np.float64)
     n = len(store)
-    sq = np.einsum("ij,ij->i", store, store)
-    block = max(1, (1 << 22) // n)
     kdist = np.empty(n)
+    pair = np.empty((n, k))
     neighbors = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, block):
-        gram = store[lo : lo + block] @ store.T
-        d = np.sqrt(np.maximum(sq[lo : lo + block, None] - 2.0 * gram + sq[None, :], 0.0))
-        for i in range(lo, lo + len(d)):
-            row = d[i - lo].copy()
-            row[i] = np.inf
-            neighbors[i] = _nearest(row, k)
-            kdist[i] = row[neighbors[i][-1]]
-    pair = np.array([_exact_dists(store[neighbors[i]], store[i]) for i in range(n)])
+    for i in range(n):
+        d = _exact_dists(store, store[i])
+        d[i] = np.inf
+        neighbors[i] = _nearest(d, k)
+        kdist[i] = d[neighbors[i][-1]]
+        pair[i] = d[neighbors[i]]
     reach = np.maximum(kdist[neighbors], pair)
     return kdist, 1.0 / (reach.mean(axis=1) + 1e-10)
 

@@ -165,23 +165,36 @@ class TestSubLof:
         assert fitted.count_parameters() == 0
         assert fitted.store_size == 51
 
-    @pytest.mark.parametrize("k", [10, 50])
-    def test_fit_holds_one_gram_block(self, k):
-        # 3,000 windows span three Gram blocks; fit may hold one block plus
-        # O(n k) state and cache-sized chunks at a time, never two blocks
-        n, m = 3000, 32
-        pool = np.array(rand_list(21, n + m - 1, -1, 1))
-        block_bytes = (1 << 22) // n * n * 8
+    @staticmethod
+    def _traced_fit(config, pool):
+        """fit's result and its tracemalloc peak above what was live before."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fitted = fit(DetectorConfig(kind="sub_lof", window=m, neighbors=k), [pool])
-            peak = tracemalloc.get_traced_memory()[1] - base
+            fitted = fit(config, [pool])
+            return fitted, tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_fit_memory_is_chunk_sized(self, k):
+        # fit holds chunks of at most 2**16 values plus O(n k) state, never
+        # an n-wide block of many rows: 8 MiB covers k = 50 at 3,000 windows
+        n, m = 3000, 32
+        pool = np.array(rand_list(21, n + m - 1, -1, 1))
+        config = DetectorConfig(kind="sub_lof", window=m, neighbors=k)
+        fitted, peak = self._traced_fit(config, pool)
         assert fitted.store_size == n
-        assert peak <= 1.25 * block_bytes + fitted.store.nbytes
+        assert peak <= 8 * 2**20 + fitted.store.nbytes
+
+    def test_fit_memory_is_chunk_sized_when_every_window_ties(self):
+        # a constant pool makes every pair a candidate for exact re-measuring
+        n, m = 1500, 32
+        config = DetectorConfig(kind="sub_lof", window=m)
+        fitted, peak = self._traced_fit(config, [1.0] * (n + m - 1))
+        assert (fitted.store_kdist == 0.0).all()
+        assert peak <= 8 * 2**20 + fitted.store.nbytes
 
 
 class TestMatrixProfile:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+from tsadbench import detectors
 from tsadbench.detectors import (
     DetectorConfig,
     _knn_indices,
@@ -52,8 +53,8 @@ STORES = [
     ),
     ("dc_offset", 1e6 + 1e-3 * uniform(12, 100), 1e6 + 1e-3 * uniform(14, 30), 8),
     ("twelve_windows", uniform(15, 15), uniform(16, 10), 4),  # fewer than 50 neighbors
-    # 3,000 windows: fit's Gram blocks are (1 << 22) // 3000 = 1,398 rows, so
-    # two full blocks and a short one of 204
+    # 3,000 windows: fit's chunks are (1 << 16) // 3000 = 21 rows, so 142
+    # full chunks and a short one of 18
     ("three_blocks", uniform(19, 3007), uniform(20, 12), 8),
 ]
 
@@ -107,6 +108,33 @@ def test_refine_keeps_every_possible_neighbor(k):
         assert np.array_equal(cand[_knn_indices(d, k)], nearest)
 
 
+CHUNK_STORES = [
+    s for s in STORES if s[0] in ("integer_ties", "near_ties", "dc_offset", "three_blocks")
+]
+
+
+@pytest.mark.parametrize("name,pool,test,m", CHUNK_STORES, ids=[s[0] for s in CHUNK_STORES])
+@pytest.mark.parametrize("neighbors", [1, 10, 50])
+def test_sub_lof_fit_independent_of_chunk_height(monkeypatch, name, pool, test, m, neighbors):
+    config = DetectorConfig(kind="sub_lof", window=m, neighbors=neighbors)
+    n = len(windows(pool, m))
+    fits = []
+    for rows in (1, 7, n):  # chunks of 1 row, 7 rows and the whole store
+        monkeypatch.setattr(detectors, "_CHUNK", rows * n)
+        fits.append(fit(config, [pool]))
+    for other in fits[1:]:
+        assert np.array_equal(other.store_kdist, fits[0].store_kdist)
+        assert np.array_equal(other.store_lrd, fits[0].store_lrd)
+
+
+def dense_knn_rows(d, k):
+    """``_knn_rows`` with every entry of the dense matrix d a candidate."""
+    rows, cols = np.indices(d.shape).reshape(2, -1)
+    nb, dists = _knn_rows(rows, cols, d.ravel(), k)
+    assert np.array_equal(dists, np.take_along_axis(d, nb, axis=1))
+    return nb
+
+
 def test_knn_boundary_ties_break_by_index():
     rng = np.random.default_rng(5)
     for _ in range(2000):
@@ -115,7 +143,7 @@ def test_knn_boundary_ties_break_by_index():
         d = rng.integers(0, 4, size=n).astype(float)
         expected = np.lexsort((np.arange(n), d))[:k]
         assert np.array_equal(_knn_indices(d, k), expected)
-        assert np.array_equal(_knn_rows(d[None, :], k)[0], expected)
+        assert np.array_equal(dense_knn_rows(d[None, :], k)[0], expected)
 
 
 def test_knn_rows_per_row():
@@ -123,4 +151,4 @@ def test_knn_rows_per_row():
     d = rng.integers(0, 3, size=(50, 30)).astype(float)
     d[np.arange(30), np.arange(30)] = np.inf
     expected = np.array([np.lexsort((np.arange(30), row))[:7] for row in d])
-    assert np.array_equal(_knn_rows(d, 7), expected)
+    assert np.array_equal(dense_knn_rows(d, 7), expected)

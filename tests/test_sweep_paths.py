@@ -2,7 +2,7 @@
 sweep (longer curves) must agree bit for bit on the same ranking.
 
 Both paths are run on one RankedScores, so they see the same activation
-order, and compared with ``==`` plus the sign of zero (``float.hex``).
+order, and compared with ``==`` plus the sign of zero (the int64 bits).
 A long curve is also checked against the brute-force oracle and, for
 reduced-length weights, against ``confusion_at_threshold`` (``math.fsum``).
 """
@@ -37,8 +37,10 @@ SETTINGS = list(itertools.product(VARIANTS, (None, 0, 3), (0, 9)))
 REPORT_FIELDS = ("f1_best", "best_threshold", "precision_at_best", "recall_at_best", "auprc")
 
 
-def _bits(values):
-    return [float(v).hex() for v in values]
+def _same_bits(a, b):
+    """Equal float64 bit patterns, so signed zeros must match too."""
+    bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (a, b)]
+    return np.array_equal(*bits)
 
 
 def _both_paths(scores, labels, criterion):
@@ -52,7 +54,7 @@ def _both_paths(scores, labels, criterion):
 def assert_paths_agree_one(scores, labels, criterion):
     slow, fast = _both_paths(scores, labels, criterion)
     for a, b in zip(slow[:4], fast[:4]):
-        assert _bits(a) == _bits(b.tolist())
+        assert _same_bits(a, b)
     assert slow[4] == fast[4]
     assert metrics._report(slow, criterion) == metrics._report(fast, criterion)
     return slow
@@ -65,13 +67,13 @@ def assert_paths_agree(scores, labels):
         for name, a, b in zip(("thresholds", "tps", "fps", "fns"), slow[:4], fast[:4]):
             b = b.tolist()
             assert a == b, (name, criterion)
-            assert _bits(a) == _bits(b), (name, criterion)
+            assert _same_bits(a, b), (name, criterion)
         assert slow[4] == fast[4]
         slow_report = metrics._report(slow, criterion)
         fast_report = metrics._report(fast, criterion)
         for field in REPORT_FIELDS:
             a, b = getattr(slow_report, field), getattr(fast_report, field)
-            assert a == b and _bits([a]) == _bits([b]), (field, criterion)
+            assert a == b and _same_bits(a, b), (field, criterion)
 
 
 def _labels(n, segments):
@@ -154,7 +156,7 @@ def test_prf_columns_equal_scalar_rule():
     for i, triple in enumerate(triples):
         expected = prf_from_confusion(triple)
         got = tuple(float(column[i]) for column in columns)
-        assert _bits(got) == _bits(expected), triple
+        assert _same_bits(got, expected), triple
     # the zero-denominator cases are in the grid
     assert prf_from_confusion((0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
     assert prf_from_confusion((0.0, 0.0, 2.0)) == (0.0, 0.0, 0.0)
@@ -226,7 +228,7 @@ class TestLongCurve:
             thresholds = slow[0]
             for i in range(0, len(thresholds), max(1, len(thresholds) // 200)):
                 want = confusion_at_threshold(scores, segments, thresholds[i], criterion)
-                assert _bits([column[i] for column in slow[1:4]]) == _bits(want), (k, i)
+                assert _same_bits([column[i] for column in slow[1:4]], list(want)), (k, i)
 
 
 def test_reduced_length_past_split_limit_raises(monkeypatch):
