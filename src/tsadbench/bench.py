@@ -26,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
     EmptyDataset,
     TooFewSeries,
     TsadError,
+    from_fields,
     require_int,
 )
 from .extern import ExternalDetectorSpec, drive
@@ -70,6 +71,12 @@ class RunConfig:
         require_int("workers", self.workers, 1)
         if not isinstance(self.allow_statistical_pooling, bool):
             raise ConfigError("allow_statistical_pooling must be true or false")
+        for name in ("datasets", "schemas"):
+            values = getattr(self, name)
+            if not isinstance(values, tuple) or not all(isinstance(v, str) for v in values):
+                raise ConfigError(f"{name} must be a list of strings, got {values!r}")
+        if not isinstance(self.k_delay_overrides, Mapping):
+            raise ConfigError("k_delay_overrides must be an object")
         for name, k in self.k_delay_overrides.items():
             if k is not None:
                 require_int(f"k_delay override for {name!r}", k, 0)
@@ -84,7 +91,7 @@ class RunConfig:
         for schema in self.schemas:
             if schema not in SCHEMAS:
                 raise ConfigError(f"unknown schema {schema!r}")
-        names = [_detector_name(d) for d in self.detectors]
+        names = [d.name for d in self.detectors]
         if len(set(names)) != len(names):
             raise ConfigError(f"detector names must be unique, got {names}")
 
@@ -92,76 +99,29 @@ class RunConfig:
         """Config as recorded in results.json.
 
         Execution-only knobs (worker count) are omitted so reruns with
-        different parallelism produce byte-identical reports.
+        different parallelism produce byte-identical reports. Every other
+        field is written as ``parse_run_config`` reads it back.
         """
-        return {
-            "datasets": list(self.datasets),
-            "detectors": [_detector_echo(d) for d in self.detectors],
-            "schemas": list(self.schemas),
-            "criteria": [c.to_dict() for c in self.criteria],
-            "k_delay_overrides": dict(self.k_delay_overrides),
-            "seed": self.seed,
-            "allow_statistical_pooling": self.allow_statistical_pooling,
-        }
-
-
-def _detector_name(d) -> str:
-    return d.display_name if isinstance(d, det.DetectorConfig) else d.name
-
-
-def _detector_echo(d) -> dict:
-    if isinstance(d, det.DetectorConfig):
-        return {
-            "kind": d.kind,
-            "name": _detector_name(d),
-            "window": d.window,
-            "neighbors": d.neighbors,
-            "ridge": d.ridge,
-        }
-    return {
-        "kind": "external",
-        "name": d.name,
-        "command": list(d.command),
-        "startup_timeout": d.startup_timeout,
-        "message_timeout": d.message_timeout,
-    }
+        doc = asdict(self)
+        del doc["workers"]
+        doc["detectors"] = [{"kind": d.kind, **asdict(d)} for d in self.detectors]
+        return doc
 
 
 def parse_run_config(doc: Mapping) -> RunConfig:
     """Parse and validate the run config JSON document."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("config must be a JSON object")
-    extra = set(doc) - {f.name for f in fields(RunConfig)}
-    if extra:
-        raise ConfigError(f"unknown config fields {sorted(extra)}")
-    given = dict(doc)  # fields left out take RunConfig's defaults
-    given["datasets"] = tuple(doc.get("datasets", ()))
-    given["detectors"] = tuple(_parse_detector(entry) for entry in doc.get("detectors", []))
-    if "schemas" in doc:
-        given["schemas"] = tuple(doc["schemas"])
-    if "criteria" in doc:
-        given["criteria"] = tuple(EvalCriterion.from_dict(c) for c in doc["criteria"])
-    if "k_delay_overrides" in doc:
-        if not isinstance(doc["k_delay_overrides"], Mapping):
-            raise ConfigError("k_delay_overrides must be an object")
-        given["k_delay_overrides"] = dict(doc["k_delay_overrides"])
-    return RunConfig(**given)
+    return from_fields(
+        RunConfig, doc, "config", detectors=_parse_detector, criteria=EvalCriterion.from_dict
+    )
 
 
 def _parse_detector(entry) -> det.DetectorConfig | ExternalDetectorSpec:
-    """A detector entry; keys that are not fields of its dataclass are ignored."""
-    if not isinstance(entry, Mapping) or "kind" not in entry:
-        raise ConfigError(f"detector entries need a kind: {entry!r}")
-    if entry["kind"] != "external":
-        return det.DetectorConfig(**_fields_in(det.DetectorConfig, entry))
-    if not isinstance(entry.get("command"), list) or not entry["command"]:
-        raise ConfigError("external detector needs a command list")
-    given = _fields_in(ExternalDetectorSpec, entry)
-    return ExternalDetectorSpec(**{**given, "command": tuple(entry["command"])})
-
-
-def _fields_in(cls, entry: Mapping) -> dict:
-    return {f.name: entry[f.name] for f in fields(cls) if f.name in entry}
+    """A detector entry: a built-in detector, or an external one when its
+    kind is "external"."""
+    if isinstance(entry, Mapping) and entry.get("kind") == "external":
+        spec = {k: v for k, v in entry.items() if k != "kind"}
+        return from_fields(ExternalDetectorSpec, spec, "external detector")
+    return from_fields(det.DetectorConfig, entry, "detector")
 
 
 @dataclass(frozen=True)
@@ -175,19 +135,14 @@ class MetricRow:
     report: MetricReport
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "curve": self.curve,
-            "detector": self.detector,
-            "schema": self.schema,
-            "criterion": self.criterion,
-            "k_delay": self.k_delay,
-            "f1_best": self.report.f1_best,
-            "best_threshold": _json_float(self.report.best_threshold),
-            "precision_at_best": self.report.precision_at_best,
-            "recall_at_best": self.report.recall_at_best,
-            "auprc": self.report.auprc,
-        }
+        """The metrics entry of results.json: the row's fields, with the
+        report's fields in place of the report. The row's criterion (the
+        label) overrides the report's; ``vars`` is a shallow copy of the
+        fields, which ``asdict`` would deep-copy at 20 times the cost."""
+        doc = {**vars(self.report), **vars(self)}
+        del doc["report"]
+        doc["best_threshold"] = _json_float(self.report.best_threshold)
+        return doc
 
 
 def _json_float(v: float):
@@ -243,29 +198,10 @@ class RunReport:
         overall = []
         for key in sorted(grouped):
             detector, schema, criterion = key
+            head = {"detector": detector, "schema": schema, "criterion": criterion}
             ds_scores, total = aggregate(grouped[key])
-            for ds in ds_scores:
-                per_dataset.append(
-                    {
-                        "detector": detector,
-                        "schema": schema,
-                        "criterion": criterion,
-                        "dataset": ds.dataset,
-                        "f1_best_mean": ds.f1_best_mean,
-                        "auprc_mean": ds.auprc_mean,
-                        "curve_count": ds.curve_count,
-                    }
-                )
-            overall.append(
-                {
-                    "detector": detector,
-                    "schema": schema,
-                    "criterion": criterion,
-                    "f1_best_mean": total.f1_best_mean,
-                    "auprc_mean": total.auprc_mean,
-                    "dataset_count": total.dataset_count,
-                }
-            )
+            per_dataset.extend({**head, **asdict(ds)} for ds in ds_scores)
+            overall.append({**head, **asdict(total)})
         return per_dataset, overall
 
     def to_results_doc(self) -> dict:
@@ -419,7 +355,7 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
                 report.failures.append(_failure(manifest.name, schema, "*", series_by_id, exc))
                 continue
             for detector in config.detectors:
-                name = _detector_name(detector)
+                name = detector.name
                 builtin = isinstance(detector, det.DetectorConfig)
                 if (
                     builtin
@@ -454,7 +390,7 @@ def _run_detector(
     detector,
     output_dir: str,
 ) -> None:
-    name = _detector_name(detector)
+    name = detector.name
     runner = _run_builtin_task if isinstance(detector, det.DetectorConfig) else _run_external_task
 
     def attempt(task: Task) -> _TaskOutcome | TsadError:
@@ -628,7 +564,6 @@ def emit_reports(report: RunReport, output_dir: str) -> None:
 def write_tables(results_doc: dict, tables_dir: str) -> None:
     """One CSV per criterion: rows are (detector, schema) ranked by the mean
     of their dataset-level f1_best scores, descending (name breaks ties)."""
-    os.makedirs(tables_dir, exist_ok=True)
     cells: dict[tuple[str, str, str], dict[str, float]] = {}
     datasets: dict[str, set[str]] = {}
     for e in results_doc["aggregates"]["per_dataset"]:
@@ -638,13 +573,14 @@ def write_tables(results_doc: dict, tables_dir: str) -> None:
     overall: dict[str, list[dict]] = {}
     for entry in results_doc["aggregates"]["overall"]:
         overall.setdefault(entry["criterion"], []).append(entry)
+    os.makedirs(tables_dir, exist_ok=True)
     for criterion in sorted(overall):
         names = sorted(datasets.get(criterion, ()))
         entries = sorted(
             overall[criterion], key=lambda e: (-e["f1_best_mean"], e["detector"], e["schema"])
         )
         path = os.path.join(tables_dir, f"{criterion}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_open(path) as fh:
             fh.write("detector,schema," + ",".join(names) + ",avg\n")
             for e in entries:
                 row = cells.get((criterion, e["detector"], e["schema"]), {})
@@ -654,7 +590,7 @@ def write_tables(results_doc: dict, tables_dir: str) -> None:
 
 
 def _write_runtime_csv(report: RunReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write(
             "detector,schema,fit_seconds,inference_seconds,scored_samples,"
             "per_sample_seconds,parameter_count,store_size\n"
@@ -683,7 +619,7 @@ def _write_tradeoff_csv(report: RunReport, results_doc: dict, path: str) -> None
         for e in results_doc["aggregates"]["overall"]
         if first_label is None or e["criterion"] == first_label
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("detector,schema,inference_seconds,mean_score,parameter_count,size\n")
         for (detector, schema) in sorted(report.runtime):
             if (detector, schema) not in overall:

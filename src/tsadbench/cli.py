@@ -124,9 +124,10 @@ def _cmd_split(args) -> int:
 
 def _cmd_report(args) -> int:
     doc = _load_json(args.input)
-    if "aggregates" not in doc:
-        raise ConfigError(f"{args.input} is not a results.json document")
-    bench.write_tables(doc, args.output)
+    try:
+        bench.write_tables(doc, args.output)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.input} is not a results.json document: {exc!r}") from exc
     return EXIT_OK
 
 

@@ -59,9 +59,6 @@ class DatasetManifest:
     ratio: tuple[int, int, int] = DEFAULT_RATIO
     k_delay_default: int | None = None
 
-    def curve_ids(self) -> list[str]:
-        return [c.id for c in self.curves]
-
 
 def _parse_manifest(path: str) -> DatasetManifest:
     try:

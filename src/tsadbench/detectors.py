@@ -50,7 +50,7 @@ class DetectorConfig:
     window: int = 32
     neighbors: int = 10  # sub_lof only
     ridge: float = 1e-4  # ar only
-    name: str | None = None
+    name: str | None = None  # None or "": the kind
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -60,16 +60,14 @@ class DetectorConfig:
         require_number("ridge", self.ridge)
         if self.name is not None and not isinstance(self.name, str):
             raise ConfigError(f"detector name must be a string, got {self.name!r}")
+        if not self.name:
+            object.__setattr__(self, "name", self.kind)
         if self.kind == "ar" and self.window < 1:
             raise ConfigError("ar needs window >= 1")
         if self.kind in ("sub_lof", "matrix_profile") and self.window < 2:
             raise ConfigError(f"{self.kind} needs window >= 2")
         if self.ridge < 0:
             raise ConfigError("ridge must be >= 0")
-
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name else self.kind
 
     @property
     def supports_pooling(self) -> bool:

@@ -3,13 +3,17 @@
 Errors split into three families so the CLI can map them to exit codes:
 configuration problems (exit 1), dataset problems (exit 2), and per-task
 failures that are recorded in the run report without aborting the run.
-The config dataclasses check their value types with ``require_int`` and
-``require_number``, so a wrongly typed value is a ConfigError too.
+Every config document is read by ``from_fields``, and the config
+dataclasses check their value types with ``require_int`` and
+``require_number``, so an unknown key, a missing field or a wrongly typed
+value is a ConfigError too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
+from typing import Callable, Mapping
 
 
 class TsadError(Exception):
@@ -33,6 +37,39 @@ def require_number(name: str, value) -> None:
     """ConfigError unless value is a real number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def from_fields(cls, doc, what: str, **items: Callable):
+    """The config dataclass cls built from the JSON object doc, whose keys
+    are the field names; fields left out take their defaults.
+
+    ConfigError when doc is not an object, when a key names no field, or
+    when a field without a default is missing. A JSON list becomes a
+    tuple; a field named in items must be a list, and each of its entries
+    is read by that function (a nested object by its own ``from_fields``).
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{what} must be an object, got {doc!r}")
+    known = dataclasses.fields(cls)
+    extra = set(doc).difference(f.name for f in known)
+    if extra:
+        raise ConfigError(f"unknown {what} fields {sorted(extra)}")
+    missing = [
+        f.name for f in known
+        if f.name not in doc
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{what} is missing {', '.join(missing)}")
+    given = {}
+    for name, value in doc.items():
+        if name in items:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{what} {name} must be a list, got {value!r}")
+            value = [items[name](entry) for entry in value]
+        given[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**given)
 
 
 class DatasetError(TsadError):

@@ -27,7 +27,7 @@ import subprocess
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .core import ScoreSeries, TimeSeries, validate_scores
 from .errors import (
@@ -49,14 +49,23 @@ STDERR_KEEP = 200
 
 @dataclass(frozen=True)
 class ExternalDetectorSpec:
+    kind: ClassVar[str] = "external"
     command: tuple[str, ...]
     name: str = "external"
     startup_timeout: float = 30.0
     message_timeout: float = 300.0
 
     def __post_init__(self):
-        if not self.command or not all(isinstance(c, str) for c in self.command):
-            raise ConfigError("external detector needs a command of strings")
+        command = self.command
+        if (
+            not isinstance(command, (list, tuple))
+            or not command
+            or not all(isinstance(c, str) for c in command)
+        ):
+            raise ConfigError(
+                f"external detector command must be a list of strings, got {command!r}"
+            )
+        object.__setattr__(self, "command", tuple(command))
         if not isinstance(self.name, str):
             raise ConfigError(f"external detector name must be a string, got {self.name!r}")
         require_number("startup_timeout", self.startup_timeout)

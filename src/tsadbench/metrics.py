@@ -31,13 +31,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import AnomalySegment, extract_segments
-from .errors import ConfigError, EmptyDataset, NonFiniteScore, NoPositiveEvents, require_int
+from .errors import (
+    ConfigError,
+    EmptyDataset,
+    NonFiniteScore,
+    NoPositiveEvents,
+    from_fields,
+    require_int,
+)
 
 _E = math.e
 _LOG = math.log
@@ -72,10 +79,7 @@ class EvalCriterion:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalCriterion":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown criterion fields {sorted(extra)}")
-        return cls(**d)
+        return from_fields(cls, d, "criterion")
 
 
 def parse_criterion(spec: str) -> EvalCriterion:

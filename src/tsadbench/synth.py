@@ -27,14 +27,14 @@ config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import TimeSeries, split_series
 from .datasets import write_dataset
-from .errors import ConfigError, PlanInfeasible, require_int, require_number
+from .errors import ConfigError, PlanInfeasible, from_fields, require_int, require_number
 from .rng import SplitMix64
 
 ANOMALY_KINDS = ("global", "contextual", "seasonal", "trend", "shapelet")
@@ -48,19 +48,21 @@ class AnomalySpec:
     """How many anomalies of one kind to inject and how long they may be.
 
     Point kinds (global, contextual) always occupy a single index; the
-    length range applies to segment kinds only.
+    length range applies to segment kinds only. max_len defaults to min_len.
     """
 
     kind: str
     count: int = 1
     min_len: int = 1
-    max_len: int = 1
+    max_len: int | None = None
 
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
             raise ConfigError(f"unknown anomaly kind {self.kind!r}")
         require_int("anomaly count", self.count, 1)
         require_int("anomaly min_len", self.min_len)
+        if self.max_len is None:
+            object.__setattr__(self, "max_len", self.min_len)
         require_int("anomaly max_len", self.max_len)
         if not (1 <= self.min_len <= self.max_len):
             raise ConfigError("need 1 <= min_len <= max_len")
@@ -92,6 +94,8 @@ class SynthConfig:
                      "seasonal_factor", "trend_slope"):
             require_number(name, getattr(self, name))
         for name in ("periods", "amplitudes"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ConfigError(f"synth {name} must be a list")
             for v in getattr(self, name):
                 require_number(name, v)
         if len(self.periods) != len(self.amplitudes) or not self.periods:
@@ -267,46 +271,6 @@ def generate_dataset(
     return series
 
 
-def _anomaly_spec_from_dict(d: Mapping) -> AnomalySpec:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"anomaly entries must be objects, got {d!r}")
-    known = {"kind", "count", "min_len", "max_len"}
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"unknown anomaly fields {sorted(extra)}")
-    return AnomalySpec(
-        kind=d.get("kind", ""),
-        count=d.get("count", 1),
-        min_len=d.get("min_len", 1),
-        max_len=d.get("max_len", d.get("min_len", 1)),
-    )
-
-
-def synth_config_from_dict(d: Mapping) -> SynthConfig:
-    known = {
-        "id", "length", "periods", "amplitudes", "noise_sigma", "anomalies",
-        "inject_region", "seed", "global_factor", "contextual_factor",
-        "contextual_window", "seasonal_factor", "trend_slope",
-    }
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"synth curves must be objects, got {d!r}")
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"unknown synth fields {sorted(extra)}")
-    if "id" not in d:
-        raise ConfigError("synth curve needs an id")
-    for name in ("periods", "amplitudes", "anomalies"):
-        if not isinstance(d.get(name, []), list):
-            raise ConfigError(f"synth {name} must be a list")
-    kwargs = dict(d)
-    kwargs["periods"] = tuple(kwargs.get("periods", (50.0,)))
-    kwargs["amplitudes"] = tuple(kwargs.get("amplitudes", (1.0,)))
-    kwargs["anomalies"] = tuple(
-        _anomaly_spec_from_dict(a) for a in kwargs.get("anomalies", ())
-    )
-    return SynthConfig(**kwargs)
-
-
 def dataset_plan_from_json(doc: Mapping) -> tuple[str, int | None, list[SynthConfig]]:
     """Parse the `gen` subcommand's JSON document."""
     if not isinstance(doc, Mapping) or "curves" not in doc:
@@ -319,5 +283,9 @@ def dataset_plan_from_json(doc: Mapping) -> tuple[str, int | None, list[SynthCon
         require_int("k_delay", k_delay, 0)
     if not isinstance(doc["curves"], list):
         raise ConfigError("synth curves must be a list")
-    configs = [synth_config_from_dict(c) for c in doc["curves"]]
+    configs = [
+        from_fields(SynthConfig, c, "synth curve",
+                    anomalies=lambda a: from_fields(AnomalySpec, a, "anomaly"))
+        for c in doc["curves"]
+    ]
     return name, k_delay, configs

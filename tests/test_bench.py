@@ -398,6 +398,22 @@ class TestCli:
         assert cli_main(["report", "-i", os.path.join(out, "results.json"), "-o", tables2]) == 0
         assert os.listdir(tables2)
 
+    def test_report_on_a_malformed_results_doc_leaves_no_table(
+        self, small_dataset, tmp_path, capsys
+    ):
+        config = self._write_config(tmp_path, small_dataset)
+        out = tmp_path / "out"
+        assert cli_main(["run", "-c", config, "-o", str(out)]) == 0
+        doc = json.loads((out / "results.json").read_text())
+        doc["aggregates"]["per_dataset"][0]["f1_best_mean"] = "high"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        tables = tmp_path / "tables"
+        capsys.readouterr()
+        assert cli_main(["report", "-i", str(bad), "-o", str(tables)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert os.listdir(tables) == []  # neither a partial table nor a .tmp file
+
     def test_eval_subcommand(self, small_dataset, tmp_path):
         config = self._write_config(tmp_path, small_dataset)
         out = str(tmp_path / "out")

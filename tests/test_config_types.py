@@ -1,10 +1,14 @@
-"""Wrongly typed config values are config errors (exit 1 with a
-``config error:`` line), never an uncaught exception."""
+"""Wrongly typed config values, unknown keys and missing fields are
+config errors (exit 1 with a ``config error:`` line), never an uncaught
+exception or a silently ignored key."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
+from conftest import STUB_DIR
 from tsadbench import bench
 from tsadbench.cli import main as cli_main
 from tsadbench.detectors import DetectorConfig
@@ -53,6 +57,9 @@ RUN_CASES = {
     "k-delay-str": {"criteria": [{"variant": "event_wise_pa", "k_delay": "3"}]},
     "k-delay-bool": {"criteria": [{"variant": "event_wise_pa", "k_delay": False}]},
     "prolong-float": {"criteria": [{"variant": "point_wise_pa", "prolong_len": 2.0}]},
+    "datasets-number": {"datasets": 5},
+    "datasets-str": {"datasets": "mini"},
+    "schemas-int-item": {"schemas": ["naive", 2]},
     "override-str": {"k_delay_overrides": {"mini": "3"}},
     "override-negative": {"k_delay_overrides": {"mini": -2}},
     "window-str": {"detectors": [{"kind": "ar", "window": "8"}]},
@@ -157,3 +164,91 @@ def test_split_rejects_a_negative_seed(dataset, tmp_path, capsys):
 def test_dataclasses_check_types(build):
     with pytest.raises(ConfigError):
         build()
+
+
+# Each config document kind, read by one rule: a key that names no field,
+# an entry that is not an object and a missing field without a default are
+# config errors whose message names the key (or the document kind). Every
+# criterion field has a default, so a criterion has no missing-field case.
+RUN_FIELD_CASES = {
+    "run-unknown": ({"seeds": 1}, "unknown config fields ['seeds']"),
+    "run-missing": ({"datasets": None}, "config is missing datasets"),
+    "criterion-unknown": ({"criteria": [{"variant": "point_wise_pa", "prolong": 3}]},
+                          "unknown criterion fields ['prolong']"),
+    "criterion-not-object": ({"criteria": ["point_wise_pa"]}, "criterion must be an object"),
+    "detector-unknown": ({"detectors": [{"kind": "ar", "windw": 8}]},
+                         "unknown detector fields ['windw']"),
+    "detector-not-object": ({"detectors": ["ar"]}, "detector must be an object"),
+    "detector-missing": ({"detectors": [{"window": 8}]}, "detector is missing kind"),
+    "external-unknown": ({"detectors": [{"kind": "external", "command": ["x"], "timeout": 5}]},
+                         "unknown external detector fields ['timeout']"),
+    "external-not-object": ({"detectors": ["external"]}, "detector must be an object"),
+    "external-missing": ({"detectors": [{"kind": "external", "name": "x"}]},
+                         "external detector is missing command"),
+}
+
+
+@pytest.mark.parametrize("changes, message", RUN_FIELD_CASES.values(),
+                         ids=RUN_FIELD_CASES.keys())
+def test_run_reads_every_document_by_its_fields(dataset, tmp_path, capsys, changes, message):
+    doc = {k: v for k, v in _run_doc(dataset, **changes).items() if v is not None}
+    assert message in _config_error(tmp_path, capsys, ["run"], doc)
+
+
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, ["run"], [{"datasets": ["d"]}])
+    assert "config must be an object" in err
+
+
+GEN_FIELD_CASES = {
+    "curve-unknown": ({"curves": [_curve(lenght=300)]}, "unknown synth curve fields ['lenght']"),
+    "curve-not-object": ({"curves": ["a"]}, "synth curve must be an object"),
+    "curve-missing": ({"curves": [{"length": 200}]}, "synth curve is missing id"),
+    "anomaly-unknown": ({"curves": [_curve(anomalies=[{"kind": "global", "cnt": 2}])]},
+                        "unknown anomaly fields ['cnt']"),
+    "anomaly-not-object": ({"curves": [_curve(anomalies=["global"])]},
+                           "anomaly must be an object"),
+    "anomaly-missing": ({"curves": [_curve(anomalies=[{"count": 2}])]},
+                        "anomaly is missing kind"),
+}
+
+
+@pytest.mark.parametrize("doc, message", GEN_FIELD_CASES.values(), ids=GEN_FIELD_CASES.keys())
+def test_gen_reads_every_document_by_its_fields(tmp_path, capsys, doc, message):
+    assert message in _config_error(tmp_path, capsys, ["gen"], doc)
+
+
+def test_anomaly_max_len_defaults_to_min_len():
+    assert AnomalySpec("trend", min_len=12).max_len == 12
+    assert AnomalySpec("trend", min_len=3, max_len=5).max_len == 5
+
+
+def test_external_spec_rejects_a_command_string():
+    with pytest.raises(ConfigError, match="command must be a list of strings"):
+        ExternalDetectorSpec(command="prog")  # would spawn ['p', 'r', 'o', 'g']
+
+
+def test_external_spec_stores_its_command_as_a_tuple():
+    assert ExternalDetectorSpec(command=["prog", "-x"]).command == ("prog", "-x")
+
+
+def test_echoed_config_reads_back_to_the_same_run_config(dataset, tmp_path):
+    doc = _run_doc(
+        dataset, workers=2, seed=4, k_delay_overrides={"mini": 2},
+        detectors=[
+            {"kind": "first_diff"},
+            {"kind": "ar", "window": 8, "name": "ar8"},
+            {"kind": "external", "name": "stub",
+             "command": [sys.executable, str(STUB_DIR / "stub_ok.py")]},
+        ],
+        criteria=[{"variant": "event_wise_pa", "k_delay": 3},
+                  {"variant": "reduced_length_pa", "prolong_len": 0}],
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["run", "-c", str(path), "-o", str(out)]) == 0
+    echo = json.loads((out / "results.json").read_text())["config"]
+    original = bench.parse_run_config(doc)
+    assert bench.parse_run_config(echo) == dataclasses.replace(original, workers=1)
+    assert "workers" not in echo
