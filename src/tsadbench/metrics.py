@@ -18,13 +18,15 @@ tolerates post-anomaly score lag without rewarding it.
 
 Scores are compared with ``>=`` against thresholds. One sweep per
 criterion evaluates every unique score value, activating points from the
-highest score down; ``best_f1``, ``auprc``, ``pr_curve`` and
-``evaluate_criteria`` are views of it. Curves of up to ``SWEEP_CUTOFF``
-(64) points are swept by a Python loop that maintains alarm runs with
-endpoint links; longer ones by numpy. Reduced-length weights and aggregate
-means are correctly rounded sums (equal to ``math.fsum``), so no path
-depends on addition order: both sweeps equal ``confusion_at_threshold``
-bit for bit at every threshold.
+highest score down in tie groups; ``best_f1``, ``auprc``, ``pr_curve`` and
+``evaluate_criteria`` are views of it. A tie group's threshold is its
+value, with a zero written as ``+0.0``, so no threshold depends on the
+order of the points inside its group. Curves of up to ``SWEEP_CUTOFF``
+(128) points are swept by one Python loop for all three criteria (alarm
+runs kept by endpoint links for the event criteria); longer ones by numpy.
+Reduced-length weights and aggregate means are correctly rounded sums
+(equal to ``math.fsum``), so no path depends on addition order: both
+sweeps equal ``confusion_at_threshold`` bit for bit at every threshold.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ _LOG = math.log
 
 VARIANTS = ("point_wise_pa", "event_wise_pa", "reduced_length_pa")
 DEFAULT_PROLONG = 9
-SWEEP_CUTOFF = 64
+SWEEP_CUTOFF = 128
 
 
 @dataclass(frozen=True)
@@ -374,15 +376,12 @@ class RankedScores:
         return _descending_order(self)
 
     @_lazy
-    def ties(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per tie group of ``order``: its last position, and its threshold
-        as the event sweep reads it (the group's first point in order) and
-        as the point sweep reads it (its first point by index, as ``set``)."""
-        order = np.asarray(self.order)
-        desc = self.array[order]
+    def ties(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per tie group of ``order``: its last position and its threshold,
+        the group's value with a zero as ``+0.0``."""
+        desc = self.array[self.order]
         ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), self.n - 1)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        return ends, desc[starts], self.array[np.minimum.reduceat(order, starts)]
+        return ends, desc[np.concatenate(([0], ends[:-1] + 1))] + 0.0
 
     @_lazy
     def runs(self) -> tuple[np.ndarray, ...]:
@@ -429,26 +428,26 @@ def _previous_later(rank: np.ndarray) -> np.ndarray:
     return cur - 1
 
 
-def _sweep_event(
-    scores: list[float],
-    order: list[int],
-    segments: Sequence[ExtendedSegment],
-    k_delay: int | None,
-    weighted: bool,
-) -> tuple[list[float], list[float], list[float], list[float], float]:
-    """Incremental event-based sweep over unique thresholds, descending.
+def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
+    """The sweep as a loop over the tie groups of ``ranked.order``.
 
-    Points are activated from the highest score down; alarm runs are
-    maintained via endpoint links (activating a point either starts a run,
-    extends one, or merges two). A run touching any extended segment is
-    tainted and contributes no FP weight. Weights are added as integers
-    (counts, or scaled reduced-length weights) and rounded once per value.
+    A segment passes every threshold up to its peak and then weighs its
+    extended length (point-wise) or its original length's weight (event
+    criteria). Point-wise counts each activated point outside the segments
+    as one FP. The event criteria keep alarm runs by endpoint links
+    (activating a point starts a run, extends one, or merges two); a run
+    touching a segment is tainted and weighs nothing. Weights are added as
+    integers (counts, or scaled reduced-length weights) and rounded once
+    per threshold.
     """
-    n = len(scores)
+    scores, order, n = ranked.values, ranked.order, ranked.n
+    point_wise = criterion.variant == "point_wise_pa"
+    weighted = criterion.variant == "reduced_length_pa"
     run_w = _scaled_weights(n + 1)[0] if weighted else [1] * (n + 1)
     unit = 1 / _ONE if weighted else 1.0  # int * unit rounds once, exactly as float(int)
     det = sorted(
-        ((max(scores[s.start : _detect_window_end(s, k_delay) + 1]), run_w[s.orig_length])
+        ((max(scores[s.start : _detect_window_end(s, criterion.k_delay) + 1]),
+          s.end - s.start + 1 if point_wise else run_w[s.orig_length])
          for s in segments),
         reverse=True,
     )
@@ -470,9 +469,12 @@ def _sweep_event(
     i = 0
     while i < n:
         t = scores[order[i]]
-        j = i
-        while j < n and scores[order[j]] == t:
-            p = order[j]
+        while i < n and scores[order[i]] == t:
+            p = order[i]
+            i += 1
+            if point_wise:
+                fp_w += 1 - in_seg[p]
+                continue
             left = right = p
             taint = in_seg[p] != 0
             if p > 0 and active[p - 1]:
@@ -495,75 +497,18 @@ def _sweep_event(
             tainted[left] = 1 if taint else 0
             if not taint:
                 fp_w += run_w[right - left + 1]
-            j += 1
         while seg_i < n_seg and det[seg_i][0] >= t:
             tp_w += det[seg_i][1]
             seg_i += 1
-        thresholds.append(t)
+        thresholds.append(t + 0.0)
         tps.append(tp_w * unit)
         fps.append(fp_w * unit)
         fns.append((total_w - tp_w) * unit)
-        i = j
     return thresholds, tps, fps, fns, total_w * unit
 
 
-def _sweep_point_wise(
-    scores: list[float],
-    segments: Sequence[ExtendedSegment],
-    k_delay: int | None,
-) -> tuple[list[float], list[float], list[float], list[float], float]:
-    """Per-point sweep: segments contribute their full extended length once
-    the propagated score clears the threshold; out-of-segment points
-    contribute FPs individually."""
-    n = len(scores)
-    mask = _segment_mask(segments, n)
-    seg_vals: list[tuple[float, int]] = []
-    mask_size = 0
-    for seg in segments:
-        hi = _detect_window_end(seg, k_delay)
-        peak = max(scores[seg.start : hi + 1])
-        length = seg.end - seg.start + 1
-        seg_vals.append((peak, length))
-        mask_size += length
-    out_sorted = sorted(
-        (scores[p] for p in range(n) if not mask[p]), reverse=True
-    )
-    seg_vals.sort(key=lambda pl: pl[0], reverse=True)
-    uniq = sorted(set(scores), reverse=True)
-
-    thresholds: list[float] = []
-    tps: list[float] = []
-    fps: list[float] = []
-    fns: list[float] = []
-    tp = 0
-    fp = 0
-    si = 0
-    oi = 0
-    n_out = len(out_sorted)
-    n_sv = len(seg_vals)
-    for t in uniq:
-        while si < n_sv and seg_vals[si][0] >= t:
-            tp += seg_vals[si][1]
-            si += 1
-        while oi < n_out and out_sorted[oi] >= t:
-            fp += 1
-            oi += 1
-        thresholds.append(t)
-        tps.append(float(tp))
-        fps.append(float(fp))
-        fns.append(float(mask_size - tp))
-    return thresholds, tps, fps, fns, float(mask_size)
-
-
-def _sweep_python(ranked: RankedScores, segments, criterion: EvalCriterion):
-    if criterion.variant == "point_wise_pa":
-        return _sweep_point_wise(ranked.values, segments, criterion.k_delay)
-    weighted = criterion.variant == "reduced_length_pa"
-    return _sweep_event(ranked.values, ranked.order, segments, criterion.k_delay, weighted)
-
-
 def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
-    """The sweep as array operations, equal to ``_sweep_python`` bit for bit.
+    """The sweep as array operations, equal to ``_sweep_loop`` bit for bit.
 
     A segment passes every threshold up to its peak, so ``searchsorted`` on
     sorted peaks counts them. Point-wise FPs count out-of-segment points; an
@@ -571,7 +516,7 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     joins. Sums are read at tie group ends, exact before their one rounding.
     """
     n = ranked.n
-    ends, event_thresholds, point_thresholds = ranked.ties
+    ends, thresholds = ranked.ties
     k = criterion.k_delay
     bounds = np.array(
         [(s.start, _detect_window_end(s, k) + 1, s.end + 1, s.orig_end + 1) for s in segments],
@@ -585,12 +530,12 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     in_seg = marks.cumsum()
     weighted = criterion.variant == "reduced_length_pa"
     if criterion.variant == "point_wise_pa":
-        thresholds, weights = point_thresholds, bounds[:, 2] - bounds[:, 0]
+        weights = bounds[:, 2] - bounds[:, 0]
     elif weighted:
         table = _scaled_weights(n + 1)[1]
-        thresholds, weights = event_thresholds, table[bounds[:, 3] - bounds[:, 0]]
+        weights = table[bounds[:, 3] - bounds[:, 0]]
     else:
-        thresholds, weights = event_thresholds, np.ones(len(bounds), dtype=np.intp)
+        weights = np.ones(len(bounds), dtype=np.intp)
     up = np.argsort(peaks)
     missed = np.searchsorted(peaks[up], thresholds)  # segments peaking below t
     tps = _sums(weights[up[::-1]], len(peaks) - missed, weighted)
@@ -616,7 +561,7 @@ def _sweep(ranked: RankedScores, segments, criterion: EvalCriterion):
     """Lists from the loop up to SWEEP_CUTOFF points, arrays above it."""
     if ranked.n > SWEEP_CUTOFF:
         return _sweep_numpy(ranked, segments, criterion)
-    return _sweep_python(ranked, segments, criterion)
+    return _sweep_loop(ranked, segments, criterion)
 
 
 def sweep_confusions(

@@ -26,7 +26,9 @@ config.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,6 +43,12 @@ ANOMALY_KINDS = ("global", "contextual", "seasonal", "trend", "shapelet")
 POINT_KINDS = ("global", "contextual")
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _sum(values) -> float:
+    """Floats added left to right from 0.0: the same bits on every Python
+    (the built-in ``sum`` of floats is compensated since 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,8 +202,8 @@ def generate(config: SynthConfig) -> TimeSeries:
     noise = noise_arr.tolist()
     clean = values[:]
 
-    mu_g = sum(clean) / n
-    sigma_g = math.sqrt(sum((v - mu_g) ** 2 for v in clean) / n)
+    mu_g = _sum(clean) / n
+    sigma_g = math.sqrt(_sum((v - mu_g) ** 2 for v in clean) / n)
     min_g = min(clean)
     max_g = max(clean)
 
@@ -215,8 +223,8 @@ def generate(config: SynthConfig) -> TimeSeries:
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
             lo = max(0, s - config.contextual_window)
             window = clean[lo:s] if s > lo else clean[:1]
-            mu_l = sum(window) / len(window)
-            sigma_l = math.sqrt(sum((v - mu_l) ** 2 for v in window) / len(window))
+            mu_l = _sum(window) / len(window)
+            sigma_l = math.sqrt(_sum((v - mu_l) ** 2 for v in window) / len(window))
             target = mu_l + sign * config.contextual_factor * sigma_l
             values[s] = min(max(target, min_g), max_g)
         elif pl.kind == "seasonal":
@@ -241,7 +249,7 @@ def generate(config: SynthConfig) -> TimeSeries:
                     values[t] += offset * (relax - j) / relax
         else:  # shapelet
             seg_base = base[s : e + 1]
-            mu_seg = sum(seg_base) / len(seg_base)
+            mu_seg = _sum(seg_base) / len(seg_base)
             amp = (max(seg_base) - min(seg_base)) / 2.0
             if amp < 1e-12:
                 amp = config.amplitudes[dom]
@@ -271,21 +279,27 @@ def generate_dataset(
     return series
 
 
+@dataclass(frozen=True)
+class DatasetPlan:
+    """The ``gen`` subcommand's document: the curves to generate, and the
+    dataset's name and default k_delay."""
+
+    curves: tuple[SynthConfig, ...]
+    name: str = "synth"
+    k_delay: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"dataset name must be a string, got {self.name!r}")
+        if self.k_delay is not None:
+            require_int("k_delay", self.k_delay, 0)
+
+
 def dataset_plan_from_json(doc: Mapping) -> tuple[str, int | None, list[SynthConfig]]:
     """Parse the `gen` subcommand's JSON document."""
-    if not isinstance(doc, Mapping) or "curves" not in doc:
-        raise ConfigError("synth config must be an object with a curves list")
-    name = doc.get("name", "synth")
-    k_delay = doc.get("k_delay")
-    if not isinstance(name, str):
-        raise ConfigError(f"dataset name must be a string, got {name!r}")
-    if k_delay is not None:
-        require_int("k_delay", k_delay, 0)
-    if not isinstance(doc["curves"], list):
-        raise ConfigError("synth curves must be a list")
-    configs = [
-        from_fields(SynthConfig, c, "synth curve",
-                    anomalies=lambda a: from_fields(AnomalySpec, a, "anomaly"))
-        for c in doc["curves"]
-    ]
-    return name, k_delay, configs
+    plan = from_fields(
+        DatasetPlan, doc, "synth config",
+        curves=lambda c: from_fields(SynthConfig, c, "synth curve",
+                                     anomalies=lambda a: from_fields(AnomalySpec, a, "anomaly")),
+    )
+    return plan.name, plan.k_delay, list(plan.curves)

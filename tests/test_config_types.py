@@ -201,6 +201,8 @@ def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
 
 
 GEN_FIELD_CASES = {
+    "config-unknown": ({"nmae": "d", "curves": [_curve()]}, "unknown synth config fields ['nmae']"),
+    "config-missing": ({"name": "d"}, "synth config is missing curves"),
     "curve-unknown": ({"curves": [_curve(lenght=300)]}, "unknown synth curve fields ['lenght']"),
     "curve-not-object": ({"curves": ["a"]}, "synth curve must be an object"),
     "curve-missing": ({"curves": [{"length": 200}]}, "synth curve is missing id"),

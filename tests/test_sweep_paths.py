@@ -1,13 +1,15 @@
 """The pure-Python sweep (curves up to SWEEP_CUTOFF points) and the numpy
-sweep (longer curves) must agree bit for bit on the same ranking.
+sweep (longer curves) must agree bit for bit.
 
-Both paths are run on one RankedScores, so they see the same activation
-order, and compared with ``==`` plus the sign of zero (the int64 bits).
+Most cases run both paths on one RankedScores, so they see the same
+activation order; one lets each path rank ties its own way. Results are
+compared with ``==`` plus the sign of zero (the int64 bits).
 A long curve is also checked against the brute-force oracle and, for
 reduced-length weights, against ``confusion_at_threshold`` (``math.fsum``).
 """
 
 import itertools
+import json
 import math
 import sys
 import threading
@@ -17,6 +19,7 @@ import pytest
 
 import oracle
 from tsadbench import metrics
+from tsadbench.cli import main as cli_main
 from tsadbench.core import extract_segments
 from tsadbench.metrics import (
     SWEEP_CUTOFF,
@@ -32,6 +35,7 @@ from tsadbench.metrics import (
     sweep_confusions,
 )
 from tsadbench.rng import SplitMix64
+from tsadbench.synth import AnomalySpec, SynthConfig, generate_dataset
 
 SETTINGS = list(itertools.product(VARIANTS, (None, 0, 3), (0, 9)))
 REPORT_FIELDS = ("f1_best", "best_threshold", "precision_at_best", "recall_at_best", "auprc")
@@ -46,7 +50,7 @@ def _same_bits(a, b):
 def _both_paths(scores, labels, criterion):
     ranked = RankedScores(scores)
     segments = prolong_segments(extract_segments(labels), criterion.prolong_len, len(scores))
-    slow = metrics._sweep_python(ranked, segments, criterion)
+    slow = metrics._sweep_loop(ranked, segments, criterion)
     fast = metrics._sweep_numpy(ranked, segments, criterion)
     return slow, fast
 
@@ -110,6 +114,25 @@ def test_paths_agree_on_random_curves(n, quantized):
     rng = SplitMix64(1000 * n + quantized)
     for _ in range(3):
         assert_paths_agree(_scores(rng, n, quantized), _random_labels(rng, n))
+
+
+@pytest.mark.parametrize("n", [10, SWEEP_CUTOFF, 1000])
+def test_paths_agree_on_their_own_rankings(n, monkeypatch):
+    # the loop ranks ties by index, numpy in reverse; a tie group's
+    # threshold must not depend on which point comes first
+    rng = SplitMix64(77 + n)
+    for _ in range(3):
+        scores, labels = _scores(rng, n, True), _random_labels(rng, n)
+        for variant, k, l in SETTINGS:
+            criterion = EvalCriterion(variant, k_delay=k, prolong_len=l)
+            sweeps = []
+            for cutoff in (n, n - 1):
+                monkeypatch.setattr(metrics, "SWEEP_CUTOFF", cutoff)
+                sweeps.append(sweep_confusions(scores, labels, criterion))
+            loop, numpy = sweeps
+            for a, b in zip(loop, numpy):
+                assert a == b and _same_bits(a, b), criterion
+            assert not any(math.copysign(1.0, t) < 0 for t in loop[0] if t == 0)
 
 
 @pytest.mark.parametrize("quantized", [False, True])
@@ -280,3 +303,51 @@ def test_weight_table_grows_safely_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
+
+
+def _write_dumps(scores_root, series, signed_zeros):
+    """One naive dump per curve: 0 on every labeled point and the 9 after
+    it, the zeros alternating in sign from ``signed_zeros[0]``, and
+    distinct positive scores elsewhere, so no threshold above 0 detects
+    anything and 0, the lowest score, is every criterion's best."""
+    for s in series:
+        labels = s.test_labels().tolist()
+        scores, zeros = [], 0
+        for p in range(len(labels)):
+            if any(labels[max(0, p - 9) : p + 1]):
+                scores.append(signed_zeros[zeros % 2])
+                zeros += 1
+            else:
+                scores.append(1.0 + p)
+        directory = scores_root / "zeros" / "naive" / "fixed"
+        directory.mkdir(parents=True, exist_ok=True)
+        rows = "".join(f"{s.test_start + p},{v!r}\n" for p, v in enumerate(scores))
+        (directory / f"{s.id}.csv").write_text("index,score\n" + rows)
+
+
+def test_eval_zero_threshold_is_positive_zero_on_both_paths(tmp_path):
+    # test regions of SWEEP_CUTOFF and SWEEP_CUTOFF + 1 points: one curve
+    # per sweep path
+    configs = [
+        SynthConfig(id=f"c{n}", length=2 * n, seed=n,
+                    anomalies=(AnomalySpec(kind="global", count=3),))
+        for n in (SWEEP_CUTOFF, SWEEP_CUTOFF + 1)
+    ]
+    dataset = tmp_path / "ds"
+    series = generate_dataset(configs, str(dataset), name="zeros")
+    assert [s.test_length for s in series] == [SWEEP_CUTOFF, SWEEP_CUTOFF + 1]
+    criteria = ["point_wise_pa", "event_wise_pa", "reduced_length_pa",
+                "point_wise_pa:k=0:l=0", "event_wise_pa:k=2:l=3"]
+    rows = {}
+    for name, signed_zeros in (("negative_first", (-0.0, 0.0)), ("positive", (0.0, 0.0))):
+        _write_dumps(tmp_path / name, series, signed_zeros)
+        out = tmp_path / f"{name}_out"
+        argv = ["eval", "-s", str(tmp_path / name), "-d", str(dataset),
+                "--criteria", *criteria, "-o", str(out)]
+        assert cli_main(argv) == 0
+        rows[name] = json.loads((out / "results.json").read_text())["metrics"]
+    assert len(rows["negative_first"]) == 2 * len(criteria)
+    for row in rows["negative_first"]:
+        assert _same_bits(row["best_threshold"], 0.0), row
+        assert row["f1_best"] > 0
+    assert json.dumps(rows["negative_first"]) == json.dumps(rows["positive"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsadbench import synth
 from tsadbench.core import extract_segments
 from tsadbench.datasets import load_dataset
 from tsadbench.errors import ConfigError, PlanInfeasible
@@ -233,3 +234,9 @@ class TestJsonPlan:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ConfigError):
             dataset_plan_from_json({"curves": [{"id": "a", "bogus": 1}]})
+
+
+def test_sums_add_left_to_right():
+    # a compensated sum (the built-in sum of floats since Python 3.12) gives 1.0
+    assert synth._sum([1e16, 1.0, -1e16]) == 0.0
+    assert synth._sum([]) == 0.0 and synth._sum(x for x in (0.5, 0.25)) == 0.75
