@@ -105,7 +105,8 @@ def _scores(rng, n, quantized):
     return [rng.uniform() for _ in range(n)]
 
 
-LENGTHS = [*range(SWEEP_CUTOFF - 2, SWEEP_CUTOFF + 3), 1000]
+# lengths around 64, a short curve on the loop path, and around SWEEP_CUTOFF
+LENGTHS = sorted({*range(62, 67), *range(SWEEP_CUTOFF - 2, SWEEP_CUTOFF + 3), 1000})
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -156,7 +157,7 @@ def test_prolonged_segments_end_up_adjacent(quantized):
         assert_paths_agree(_scores(rng, n, quantized), labels)
 
 
-@pytest.mark.parametrize("n", [SWEEP_CUTOFF - 1, SWEEP_CUTOFF + 1, 1000])
+@pytest.mark.parametrize("n", [63, 65, SWEEP_CUTOFF - 1, SWEEP_CUTOFF + 1, 1000])
 def test_curve_without_anomaly_through_best_f1(n):
     rng = SplitMix64(n)
     for quantized in (False, True):
