@@ -20,8 +20,6 @@ dataset errors do.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
 import os
 import time
@@ -33,7 +31,10 @@ import numpy as np
 
 from . import detectors as det
 from .core import ScoreSeries, TimeSeries, validate_scores
-from .datasets import DatasetManifest, filter_anomaly_free, load_dataset, resolve_k_delay
+from .datasets import (
+    CHUNK_ROWS, DatasetManifest, atomic_open, filter_anomaly_free, load_dataset,
+    resolve_k_delay, write_json,
+)
 from .errors import (
     ConfigError,
     DatasetError,
@@ -49,10 +50,6 @@ from .schemas import SCHEMAS, BenchmarkPlan, Task, build_plan
 
 EXCLUDED_ANOMALY_FREE = "anomaly_free_test"
 EXCLUDED_POOLING = "statistical_pooling_unsupported"
-
-# Score-dump rows formatted and written per write call: bounds the text
-# held in memory for one dump.
-DUMP_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -291,37 +288,15 @@ def _run_external_task(
     return _TaskOutcome([(r.series_id, r.scores) for r in results], stat)
 
 
-def _dump_scores(
-    out_dir: str,
-    dataset: str,
-    schema: str,
-    detector: str,
-    curve: str,
-    test_start: int,
-    scores: np.ndarray,
-) -> None:
+def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: str,
+                 test_start: int, scores: np.ndarray) -> None:
     directory = os.path.join(out_dir, "scores", dataset, schema, detector)
     os.makedirs(directory, exist_ok=True)
-    with _atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
+    with atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
         fh.write("index,score\n")
-        for lo in range(0, len(scores), DUMP_CHUNK_ROWS):
-            chunk = scores[lo : lo + DUMP_CHUNK_ROWS].tolist()
-            fh.write("".join(f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)))
-
-
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file that replaces path only once it is completely written, so
-    a write that fails part way never leaves a partial file at path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        for lo in range(0, len(scores), CHUNK_ROWS):
+            chunk = scores[lo : lo + CHUNK_ROWS].tolist()
+            fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)]))
 
 
 def run(config: RunConfig, output_dir: str) -> RunReport:
@@ -543,19 +518,13 @@ def _load_score_dump(path: str, test_start: int) -> list[float]:
     return values
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def emit_reports(report: RunReport, output_dir: str) -> None:
     """Write results.json, ranked per-criterion tables, runtime and plot data."""
     doc = report.to_results_doc()
     if not doc["metrics"] and not doc["failures"] and not doc["exclusions"]:
         raise EmptyDataset("nothing to report")
     os.makedirs(output_dir, exist_ok=True)
-    _write_json(os.path.join(output_dir, "results.json"), doc)
+    write_json(os.path.join(output_dir, "results.json"), doc)
     write_tables(doc, os.path.join(output_dir, "tables"))
     _write_runtime_csv(report, os.path.join(output_dir, "runtime.csv"))
     _write_tradeoff_csv(report, doc, os.path.join(output_dir, "plotdata", "tradeoff.csv"))
@@ -580,7 +549,7 @@ def write_tables(results_doc: dict, tables_dir: str) -> None:
             overall[criterion], key=lambda e: (-e["f1_best_mean"], e["detector"], e["schema"])
         )
         path = os.path.join(tables_dir, f"{criterion}.csv")
-        with _atomic_open(path) as fh:
+        with atomic_open(path) as fh:
             fh.write("detector,schema," + ",".join(names) + ",avg\n")
             for e in entries:
                 row = cells.get((criterion, e["detector"], e["schema"]), {})
@@ -590,13 +559,12 @@ def write_tables(results_doc: dict, tables_dir: str) -> None:
 
 
 def _write_runtime_csv(report: RunReport, path: str) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(
             "detector,schema,fit_seconds,inference_seconds,scored_samples,"
             "per_sample_seconds,parameter_count,store_size\n"
         )
-        for (detector, schema) in sorted(report.runtime):
-            stat = report.runtime[(detector, schema)]
+        for (detector, schema), stat in sorted(report.runtime.items()):
             fh.write(
                 f"{detector},{schema},{stat.fit_seconds!r},"
                 f"{stat.inference_seconds!r},{stat.scored_samples},"
@@ -611,20 +579,17 @@ def _write_tradeoff_csv(report: RunReport, results_doc: dict, path: str) -> None
     parameter count."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     criteria = results_doc["config"].get("criteria", [])
-    first_label = None
-    if criteria:
-        first_label = EvalCriterion.from_dict(criteria[0]).label
+    first_label = EvalCriterion.from_dict(criteria[0]).label if criteria else None
     overall = {
         (e["detector"], e["schema"]): e["f1_best_mean"]
         for e in results_doc["aggregates"]["overall"]
         if first_label is None or e["criterion"] == first_label
     }
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write("detector,schema,inference_seconds,mean_score,parameter_count,size\n")
-        for (detector, schema) in sorted(report.runtime):
+        for (detector, schema), stat in sorted(report.runtime.items()):
             if (detector, schema) not in overall:
                 continue
-            stat = report.runtime[(detector, schema)]
             size = stat.parameter_count ** (1.0 / 3.0)
             fh.write(
                 f"{detector},{schema},{stat.inference_seconds:.6f},"

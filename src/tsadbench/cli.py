@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import bench, synth
-from .datasets import load_dataset
+from .datasets import atomic_open, load_dataset
 from .errors import ConfigError, DatasetError, TsadError, require_int
 from .metrics import parse_criterion
 from .schemas import SCHEMAS, build_plan
@@ -115,7 +115,7 @@ def _cmd_split(args) -> int:
     plan = build_plan(args.schema, series, args.seed)
     text = plan.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

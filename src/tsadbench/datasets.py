@@ -1,4 +1,5 @@
-"""Canonical dataset layout: loading, writing, validation, importers.
+"""Canonical dataset layout: loading, writing, validation, importers; and
+the one atomic writer every output file of the package goes through.
 
 Directory layout::
 
@@ -7,44 +8,95 @@ Directory layout::
 
 ``manifest.json`` holds ``{"name": str, "default_split": {"ratio": [4,1,5]}
 | "predefined", "k_delay": int?, "curves": [{"id": str, "file": str,
-"train_end": int?, "valid_end": int?}]}``. Curve files carry the header
-``index,value,label`` with 0-based consecutive indices, decimal float
-values and 0/1 labels, UTF-8 with LF line endings. Labels are the
-canonical truth; segments are always derived from them.
+"train_end": int?, "valid_end": int?}]}``. Its keys are the fields of
+``DatasetManifest`` and ``CurveSpec``, which check them: ``train_end``,
+``valid_end`` and ``k_delay`` are non-negative integers, ratio parts are
+positive integers (a boolean is neither), and a key that names no field is
+an error. Curve files carry the header ``index,value,label`` with 0-based
+consecutive indices, decimal float values and 0/1 labels, UTF-8 with LF
+line endings. Labels are the canonical truth; segments are always derived
+from them.
 
 Row numbers in errors count data rows starting at 1 (the header is row 0).
+
+Every file the package writes (curve files, manifests, score dumps,
+results.json, tables, runtime and plot data, plans) goes through
+``atomic_open``: it replaces its path only once completely written. JSON
+documents are laid out by ``json_text``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import DEFAULT_RATIO, SplitSpec, TimeSeries, split_series
 from .errors import (
-    InvariantViolation,
-    MissingManifest,
-    ParseError,
+    ConfigError, InvariantViolation, MissingManifest, ParseError, from_fields, require_int,
 )
 
 CURVE_HEADER = "index,value,label"
 
-# Curve rows formatted and written per write call: bounds the text held in
-# memory for one curve.
-CURVE_CHUNK_ROWS = 1024
+# Rows formatted and written per write call, in curve files and score
+# dumps: bounds the text held in memory for one file.
+CHUNK_ROWS = 8192
+
+
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A text file that replaces path only once it is completely written, so
+    a write that fails part way never leaves a partial file at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+# The layout of every JSON document written: sorted keys, indent 2, and
+# one trailing LF.
+_JSON_LAYOUT = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def json_text(doc) -> str:
+    return _JSON_LAYOUT.encode(doc) + "\n"
+
+
+def write_json(path: str, doc) -> None:
+    """doc written piece by piece, as ``json_text`` lays it out, so the
+    whole text is never held in memory."""
+    with atomic_open(path) as fh:
+        for chunk in _JSON_LAYOUT.iterencode(doc):
+            fh.write(chunk)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
 class CurveSpec:
+    """One entry of the manifest's curves list."""
+
     id: str
     file: str
     train_end: int | None = None
     valid_end: int | None = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if name in ("id", "file"):
+                if not isinstance(value, str):
+                    raise ConfigError(f"curve {name} must be a string, got {value!r}")
+            elif value is not None:
+                require_int(name, value, 0)
 
     @property
     def has_predefined_split(self) -> bool:
@@ -53,67 +105,53 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """The manifest.json document; ``default_split`` is ``"predefined"`` or
+    ``{"ratio": [a, b, c]}``."""
+
     name: str
     curves: tuple[CurveSpec, ...]
-    default_split: str = "ratio"  # "ratio" | "predefined"
-    ratio: tuple[int, int, int] = DEFAULT_RATIO
-    k_delay_default: int | None = None
+    default_split: str | Mapping = field(default_factory=lambda: {"ratio": list(DEFAULT_RATIO)})
+    k_delay: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"dataset name must be a string, got {self.name!r}")
+        split = self.default_split
+        if split != "predefined":
+            parts = split.get("ratio") if isinstance(split, Mapping) and len(split) == 1 else None
+            if not isinstance(parts, (list, tuple)) or len(parts) != 3:
+                raise ConfigError(f'default_split must be "predefined" or '
+                                  f'{{"ratio": [a, b, c]}}, got {split!r}')
+            for part in parts:
+                require_int("ratio part", part, 1)
+        if self.k_delay is not None:
+            require_int("k_delay", self.k_delay, 0)
+        seen = set()
+        for curve in self.curves:
+            if curve.id in seen:
+                raise InvariantViolation(f"duplicate curve id {curve.id!r}")
+            seen.add(curve.id)
+
+    @property
+    def ratio(self) -> tuple[int, int, int]:
+        """The default split's ratio (``DEFAULT_RATIO`` when predefined)."""
+        split = self.default_split
+        return DEFAULT_RATIO if split == "predefined" else tuple(split["ratio"])
 
 
-def _parse_manifest(path: str) -> DatasetManifest:
+def _read_manifest(path: str) -> DatasetManifest:
+    """The manifest at path; a malformed one is a ParseError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "name" not in doc or "curves" not in doc:
-        raise ParseError(f"manifest {path}: expected object with name and curves")
-
-    split = doc.get("default_split", {"ratio": list(DEFAULT_RATIO)})
-    ratio = DEFAULT_RATIO
-    if split == "predefined":
-        default_split = "predefined"
-    elif isinstance(split, dict) and "ratio" in split:
-        default_split = "ratio"
-        parts = split["ratio"]
-        if (
-            not isinstance(parts, list)
-            or len(parts) != 3
-            or not all(isinstance(p, int) and p > 0 for p in parts)
-        ):
-            raise ParseError(f"manifest {path}: bad ratio {parts!r}")
-        ratio = tuple(parts)
-    else:
-        raise ParseError(f"manifest {path}: bad default_split {split!r}")
-
-    k_delay = doc.get("k_delay")
-    if k_delay is not None and (not isinstance(k_delay, int) or k_delay < 0):
-        raise ParseError(f"manifest {path}: k_delay must be a non-negative integer")
-
-    curves = []
-    seen = set()
-    for entry in doc["curves"]:
-        if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
-            raise ParseError(f"manifest {path}: curve entries need id and file")
-        cid = entry["id"]
-        if cid in seen:
-            raise InvariantViolation(f"manifest {path}: duplicate curve id {cid!r}")
-        seen.add(cid)
-        curves.append(
-            CurveSpec(
-                id=cid,
-                file=entry["file"],
-                train_end=entry.get("train_end"),
-                valid_end=entry.get("valid_end"),
-            )
+        return from_fields(
+            DatasetManifest, doc, "manifest",
+            curves=lambda c: from_fields(CurveSpec, c, "curve entry"),
         )
-    return DatasetManifest(
-        name=doc["name"],
-        curves=tuple(curves),
-        default_split=default_split,
-        ratio=ratio,
-        k_delay_default=k_delay,
-    )
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise ParseError(f"manifest {path}: {exc}") from exc
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"manifest {path}: {exc}") from exc
 
 
 def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
@@ -157,9 +195,7 @@ def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
 
 def _resolve_split(curve: CurveSpec, manifest: DatasetManifest, n: int) -> SplitSpec:
     if curve.has_predefined_split:
-        return SplitSpec(
-            train_end=curve.train_end, valid_end=curve.valid_end, source="predefined"
-        )
+        return SplitSpec(curve.train_end, curve.valid_end, source="predefined")
     if manifest.default_split == "predefined":
         raise InvariantViolation(
             f"curve {curve.id!r}: manifest declares predefined splits but "
@@ -173,7 +209,7 @@ def load_dataset(root: str) -> tuple[list[TimeSeries], DatasetManifest]:
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise MissingManifest(f"no manifest.json under {root}")
-    manifest = _parse_manifest(manifest_path)
+    manifest = _read_manifest(manifest_path)
     series = []
     for curve in manifest.curves:
         path = os.path.join(root, curve.file)
@@ -209,10 +245,10 @@ def write_curve_csv(path: str, values: Sequence[float], labels: Sequence[int]) -
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = min(len(values), len(labels))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(CURVE_HEADER + "\n")
-        for lo in range(0, n, CURVE_CHUNK_ROWS):
-            hi = min(lo + CURVE_CHUNK_ROWS, n)
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
             rows = zip(range(lo, hi), values[lo:hi].tolist(), labels[lo:hi].tolist())
             fh.write("".join([f"{i},{v!r},{l}\n" for i, v, l in rows]))
 
@@ -224,30 +260,23 @@ def write_dataset(
     k_delay: int | None = None,
     ratio: tuple[int, int, int] = DEFAULT_RATIO,
 ) -> None:
-    """Write the canonical layout; splits are stored per their source."""
-    os.makedirs(os.path.join(root, "curves"), exist_ok=True)
+    """Write the canonical layout; splits are stored per their source, and
+    the manifest leaves out every field that is None."""
     curves = []
-    ratio_used = False
     for s in series:
-        rel = f"curves/{s.id}.csv"
-        write_curve_csv(os.path.join(root, rel), s.values, s.labels)
-        entry = {"id": s.id, "file": rel}
-        if s.split.source == "predefined":
-            entry["train_end"] = s.split.train_end
-            entry["valid_end"] = s.split.valid_end
-        else:
-            ratio_used = True
-        curves.append(entry)
-    doc = {
-        "name": name,
-        "default_split": {"ratio": list(ratio)} if ratio_used else "predefined",
-        "curves": curves,
-    }
-    if k_delay is not None:
-        doc["k_delay"] = k_delay
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        bounds = (s.split.train_end, s.split.valid_end) if s.split.source == "predefined" else ()
+        curves.append(CurveSpec(s.id, f"curves/{s.id}.csv", *bounds))
+    ratio_used = not all(c.has_predefined_split for c in curves)
+    manifest = DatasetManifest(
+        name, tuple(curves), {"ratio": list(ratio)} if ratio_used else "predefined", k_delay
+    )
+    os.makedirs(os.path.join(root, "curves"), exist_ok=True)
+    for s, curve in zip(series, curves):
+        write_curve_csv(os.path.join(root, curve.file), s.values, s.labels)
+    write_json(
+        os.path.join(root, "manifest.json"),
+        asdict(manifest, dict_factory=lambda items: {k: v for k, v in items if v is not None}),
+    )
 
 
 def import_generic_csv(
@@ -325,6 +354,6 @@ def resolve_k_delay(
     """
     if dataset_name in overrides:
         return overrides[dataset_name]
-    if manifest.k_delay_default is not None:
-        return manifest.k_delay_default
+    if manifest.k_delay is not None:
+        return manifest.k_delay
     return criterion_k

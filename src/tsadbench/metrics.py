@@ -608,6 +608,8 @@ def _segments(labels, n: int) -> list[AnomalySegment]:
     """``extract_segments``; up to SWEEP_CUTOFF points a plain scan is cheaper."""
     if n > SWEEP_CUTOFF:
         return extract_segments(labels)
+    if isinstance(labels, np.ndarray):
+        labels = labels.tolist()  # a list scans faster than an array
     segments = []
     start = None
     for i, flag in enumerate(labels):

@@ -16,12 +16,12 @@ No plan ever places a test region in a training pool.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import TimeSeries
+from .datasets import json_text
 from .errors import ConfigError, EmptyDataset, TooFewSeries
 from .rng import SplitMix64
 
@@ -57,7 +57,7 @@ class BenchmarkPlan:
                 for task in self.tasks
             ],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc)
 
 
 def _train_ref(series: TimeSeries) -> SeriesRef:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import STUB_DIR
-from tsadbench import bench
+from tsadbench import bench, datasets
 from tsadbench.cli import main as cli_main
 from tsadbench.detectors import DetectorConfig
 from tsadbench.errors import ConfigError
@@ -598,12 +598,15 @@ class _FailingFile:
 
 class TestAtomicWrites:
     def _fail_writes(self, monkeypatch):
+        """Every file the package opens for writing fails part way; reads
+        go through untouched."""
         real_open = open
 
         def failing_open(path, mode="r", *args, **kwargs):
-            return _FailingFile(real_open(path, mode, *args, **kwargs))
+            fh = real_open(path, mode, *args, **kwargs)
+            return _FailingFile(fh) if "w" in mode else fh
 
-        monkeypatch.setattr(bench, "open", failing_open, raising=False)
+        monkeypatch.setattr(datasets, "open", failing_open, raising=False)
 
     def test_dump_matches_one_row_per_score(self, tmp_path):
         import numpy as np
@@ -633,3 +636,34 @@ class TestAtomicWrites:
             bench.emit_reports(report, str(out))
         assert not (out / "results.json").exists()
         assert [name for name in os.listdir(out) if name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize("command", ["gen", "split", "run", "eval", "report"])
+    def test_failed_write_leaves_no_file(
+        self, small_dataset, tmp_path, monkeypatch, capsys, command
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"datasets": [small_dataset], "detectors": [{"kind": "first_diff"}]}
+        ))
+        source = tmp_path / "source"
+        assert cli_main(["run", "-c", str(config), "-o", str(source)]) == 0
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps({"curves": [
+            {"id": "a", "length": 200, "seed": 1, "anomalies": [{"kind": "global"}]}
+        ]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "gen": ["gen", "-c", str(synth), "-o", str(out / "ds")],
+            "split": ["split", "-d", small_dataset, "--schema", "naive",
+                      "-o", str(out / "plan.json")],
+            "run": ["run", "-c", str(config), "-o", str(out)],
+            "eval": ["eval", "-s", str(source / "scores"), "-d", small_dataset,
+                     "--criteria", "point_wise_pa", "-o", str(out)],
+            "report": ["report", "-i", str(source / "results.json"), "-o", str(out / "tables")],
+        }[command]
+        capsys.readouterr()
+        self._fail_writes(monkeypatch)
+        assert cli_main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [name for _, _, names in os.walk(out) for name in names] == []

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tsadbench import bench
+from tsadbench import bench, datasets
 from tsadbench.cli import main as cli_main
 from tsadbench.synth import AnomalySpec, SynthConfig, generate_dataset
 
@@ -102,7 +102,7 @@ def test_omitted_fields_echo_their_defaults(dataset, tmp_path):
 
 
 def test_dump_longer_than_one_chunk(tmp_path):
-    n = 2 * bench.DUMP_CHUNK_ROWS + 17
+    n = 2 * datasets.CHUNK_ROWS + 17
     rng = np.random.default_rng(5)
     scores = rng.standard_normal(n) * rng.choice([1e-5, 1.0, 1e7], n)
     scores[[0, 1, n - 1]] = [-0.0, 1e-300, 123456789.125]

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from tsadbench.cli import main as cli_main
 from tsadbench.core import SplitSpec, TimeSeries
 from tsadbench.datasets import (
     filter_anomaly_free,
@@ -114,6 +115,83 @@ class TestLoadDataset:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(InvariantViolation):
             load_dataset(str(tmp_path))
+
+
+def _entry(cid="a", **changes):
+    return {"id": cid, "file": f"curves/{cid}.csv", **changes}
+
+
+# Manifest fields of the wrong type, and keys that name no field: each is a
+# ParseError naming the manifest, and `tsadbench run` exits 2 before any
+# detector runs. A boolean is not an integer.
+MANIFEST_CASES = {
+    "train-end-str": ({"curves": [_entry(train_end="100", valid_end=150)]},
+                      "train_end must be an integer, got '100'"),
+    "train-end-float": ({"curves": [_entry(train_end=8.0, valid_end=150)]},
+                        "train_end must be an integer, got 8.0"),
+    "train-end-bool": ({"curves": [_entry(train_end=True, valid_end=150)]},
+                       "train_end must be an integer, got True"),
+    "valid-end-negative": ({"curves": [_entry(train_end=10, valid_end=-1)]},
+                           "valid_end must be >= 0"),
+    "k-delay-bool": ({"k_delay": True}, "k_delay must be an integer, got True"),
+    "k-delay-str": ({"k_delay": "3"}, "k_delay must be an integer, got '3'"),
+    "ratio-part-bool": ({"default_split": {"ratio": [True, 1, 5]}},
+                        "ratio part must be an integer, got True"),
+    "ratio-part-zero": ({"default_split": {"ratio": [4, 0, 5]}}, "ratio part must be >= 1"),
+    "ratio-two-parts": ({"default_split": {"ratio": [4, 1]}}, "default_split must be"),
+    "split-unknown-key": ({"default_split": {"ratio": [4, 1, 5], "seed": 1}},
+                          "default_split must be"),
+    "split-str": ({"default_split": "ratio"}, "default_split must be"),
+    "id-int": ({"curves": [_entry(id=3)]}, "curve id must be a string, got 3"),
+    "file-int": ({"curves": [_entry(file=5)]}, "curve file must be a string, got 5"),
+    "name-int": ({"name": 7}, "dataset name must be a string, got 7"),
+    "unknown-key": ({"k_dealy": 3}, "unknown manifest fields ['k_dealy']"),
+    "curve-unknown-key": ({"curves": [_entry(trian_end=3)]},
+                          "unknown curve entry fields ['trian_end']"),
+    "curve-missing-file": ({"curves": [{"id": "a"}]}, "curve entry is missing file"),
+    "curve-not-object": ({"curves": ["a"]}, "curve entry must be an object"),
+    "curves-not-list": ({"curves": _entry()}, "manifest curves must be a list"),
+    "name-missing": ({"name": None}, "manifest is missing name"),
+}
+
+
+class TestManifestFields:
+    def _dataset(self, tmp_path, changes):
+        labels = [0] * 180 + [1] + [0] * 19
+        root = write_fixture(tmp_path / "ds", [("a", [float(i % 7) for i in range(200)], labels)])
+        path = tmp_path / "ds" / "manifest.json"
+        doc = {**json.loads(path.read_text()), **changes}
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        return root
+
+    @pytest.mark.parametrize("changes, message", MANIFEST_CASES.values(),
+                             ids=MANIFEST_CASES.keys())
+    def test_wrong_fields_are_parse_errors(self, tmp_path, capsys, changes, message):
+        root = self._dataset(tmp_path, changes)
+        with pytest.raises(ParseError, match="manifest") as info:
+            load_dataset(root)
+        assert message in str(info.value)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"datasets": [root], "detectors": [{"kind": "first_diff"}]}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "-c", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"dataset error: manifest {root}")
+        assert not (out / "scores").exists()
+
+    def test_well_typed_fields_load(self, tmp_path):
+        root = self._dataset(tmp_path, {
+            "k_delay": 0,
+            "default_split": {"ratio": [1, 1, 1]},
+            "curves": [_entry(train_end=80, valid_end=120)],
+        })
+        series, manifest = load_dataset(root)
+        assert manifest.k_delay == 0 and manifest.ratio == (1, 1, 1)
+        assert (series[0].split.train_end, series[0].split.valid_end) == (80, 120)
+
+    def test_duplicate_id_names_the_manifest(self, tmp_path):
+        root = self._dataset(tmp_path, {"curves": [_entry(), _entry()]})
+        with pytest.raises(InvariantViolation, match="manifest .*duplicate curve id 'a'"):
+            load_dataset(root)
 
 
 class TestRoundTrip:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tsadbench.datasets import CURVE_CHUNK_ROWS, CURVE_HEADER, write_curve_csv
+from tsadbench.datasets import CHUNK_ROWS, CURVE_HEADER, write_curve_csv
 from tsadbench.rng import SplitMix64
 from tsadbench.synth import AnomalySpec, SynthConfig, generate
 
@@ -160,7 +160,7 @@ class TestWriteCurveCsv:
             (np.array(EDGE_VALUES), np.array(EDGE_LABELS, dtype=np.float64)),
             (EDGE_VALUES, EDGE_LABELS[:5]),
             (np.linspace(-1.0, 1.0, 20_001), np.arange(20_001) % 2),
-            (np.arange(2 * CURVE_CHUNK_ROWS) / 7.0, np.zeros(2 * CURVE_CHUNK_ROWS, int)),
+            (np.arange(2 * CHUNK_ROWS) / 7.0, np.zeros(2 * CHUNK_ROWS, int)),
         ],
         ids=["lists", "float-arrays", "int-array", "int-values-float-labels",
              "float-labels-array", "short-labels", "long", "two-full-chunks"],

@@ -189,7 +189,7 @@ class TestGenerateDataset:
         generate_dataset(self._configs(), root, name="toy", k_delay=7)
         series, manifest = load_dataset(root)
         assert manifest.name == "toy"
-        assert manifest.k_delay_default == 7
+        assert manifest.k_delay == 7
         assert [s.id for s in series] == [f"c{i}" for i in range(5)]
 
     def test_round_trip_values_exact(self, tmp_path):
