@@ -32,8 +32,8 @@ import numpy as np
 from . import detectors as det
 from .core import ScoreSeries, TimeSeries, validate_scores
 from .datasets import (
-    CHUNK_ROWS, DatasetManifest, atomic_open, filter_anomaly_free, load_dataset,
-    resolve_k_delay, write_json,
+    CHUNK_ROWS, DUMP_HEADER, DatasetManifest, atomic_open, filter_anomaly_free, load_dataset,
+    read_score_dump, resolve_k_delay, write_json,
 )
 from .errors import (
     ConfigError,
@@ -45,7 +45,9 @@ from .errors import (
     require_int,
 )
 from .extern import ExternalDetectorSpec, drive
-from .metrics import EvalCriterion, MetricReport, RankedScores, aggregate, evaluate_curve
+from .metrics import (
+    CurveLabels, EvalCriterion, MetricReport, RankedScores, aggregate, evaluate_curve,
+)
 from .schemas import SCHEMAS, BenchmarkPlan, Task, build_plan
 
 EXCLUDED_ANOMALY_FREE = "anomaly_free_test"
@@ -293,7 +295,7 @@ def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: 
     directory = os.path.join(out_dir, "scores", dataset, schema, detector)
     os.makedirs(directory, exist_ok=True)
     with atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
-        fh.write("index,score\n")
+        fh.write(DUMP_HEADER + "\n")
         for lo in range(0, len(scores), CHUNK_ROWS):
             chunk = scores[lo : lo + CHUNK_ROWS].tolist()
             fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)]))
@@ -302,8 +304,6 @@ def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: 
 def run(config: RunConfig, output_dir: str) -> RunReport:
     """Execute the full benchmark and write score dumps under output_dir."""
     report = RunReport(config_echo=config.echo())
-    os.makedirs(output_dir, exist_ok=True)
-
     loaded: list[tuple[str, list[TimeSeries], DatasetManifest]] = []
     seen_names = set()
     for root in config.datasets:
@@ -312,6 +312,7 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
             raise DatasetError(f"duplicate dataset name {manifest.name!r}")
         seen_names.add(manifest.name)
         loaded.append((root, series, manifest))
+    os.makedirs(output_dir, exist_ok=True)
 
     for _root, series, manifest in loaded:
         kept, excluded = filter_anomaly_free(series)
@@ -322,6 +323,7 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
         if not kept:
             continue
         series_by_id = {s.id: s for s in kept}
+        labels_by_id = {s.id: CurveLabels(s.test_labels()) for s in kept}
 
         for schema in config.schemas:
             try:
@@ -351,7 +353,8 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
                             )
                     continue
                 _run_detector(
-                    config, report, manifest, series_by_id, plan, detector, output_dir
+                    config, report, manifest, series_by_id, labels_by_id, plan, detector,
+                    output_dir,
                 )
     return report
 
@@ -361,6 +364,7 @@ def _run_detector(
     report: RunReport,
     manifest: DatasetManifest,
     series_by_id: Mapping[str, TimeSeries],
+    labels_by_id: Mapping[str, CurveLabels],
     plan: BenchmarkPlan,
     detector,
     output_dir: str,
@@ -395,7 +399,7 @@ def _run_detector(
             )
             _evaluate_into(
                 report, config.criteria, config.k_delay_overrides, manifest,
-                plan.schema, name, sid, arr, series.test_labels(),
+                plan.schema, name, sid, arr, labels_by_id[sid],
             )
 
 
@@ -408,11 +412,13 @@ def _evaluate_into(
     detector: str,
     curve: str,
     scores: np.ndarray,
-    labels: np.ndarray,
+    labels: CurveLabels,
 ) -> None:
-    # One ranking per curve shares the sort and run-neighbour work across
-    # criteria; each criterion is still its own evaluate_curve call, so a
-    # profiler or tracer wrapping it sees every criterion separately.
+    # One ranking per score array shares the sort and run-neighbour work
+    # across criteria, as the curve's CurveLabels shares its label work
+    # across schemas, detectors and criteria; each criterion is still its
+    # own evaluate_curve call, so a profiler or tracer wrapping it sees
+    # every criterion separately.
     ranked = RankedScores(scores)
     for criterion in criteria:
         k_eff = resolve_k_delay(k_delay_overrides, manifest.name, manifest, criterion.k_delay)
@@ -448,6 +454,7 @@ def evaluate_scores(
     series, manifest = load_dataset(dataset_root)
     kept, _excluded = filter_anomaly_free(series)
     series_by_id = {s.id: s for s in kept}
+    labels_by_id = {s.id: CurveLabels(s.test_labels()) for s in kept}
     k_delay_overrides = dict(k_delay_overrides or {})
     report = RunReport(
         config_echo={
@@ -482,7 +489,7 @@ def evaluate_scores(
                 series_obj = series_by_id[curve]
                 path = os.path.join(det_dir, f"{curve}.csv")
                 try:
-                    arr = _load_score_dump(path, series_obj.test_start)
+                    arr = read_score_dump(path, series_obj.test_start)
                     scored = ScoreSeries(series_id=curve, scores=arr)
                     validate_scores(scored, series_obj)
                 except TsadError as exc:
@@ -490,32 +497,9 @@ def evaluate_scores(
                     continue
                 _evaluate_into(
                     report, criteria, k_delay_overrides, manifest, schema, detector, curve,
-                    scored.scores, series_obj.test_labels(),
+                    scored.scores, labels_by_id[curve],
                 )
     return report
-
-
-def _load_score_dump(path: str, test_start: int) -> list[float]:
-    """Scores of one dump, whose index column must run test_start, test_start + 1, ..."""
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != "index,score":
-            raise DatasetError(f"{path}: expected 'index,score' header")
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                index, value = line.split(",")
-                index, value = int(index), float(value)
-            except ValueError:
-                raise DatasetError(f"{path}: malformed row {line!r}") from None
-            expected = test_start + len(values)
-            if index != expected:
-                raise DatasetError(f"{path}: index {index} where {expected} was expected")
-            values.append(value)
-    return values
 
 
 def emit_reports(report: RunReport, output_dir: str) -> None:

@@ -15,7 +15,14 @@ positive integers (a boolean is neither), and a key that names no field is
 an error. Curve files carry the header ``index,value,label`` with 0-based
 consecutive indices, decimal float values and 0/1 labels, UTF-8 with LF
 line endings. Labels are the canonical truth; segments are always derived
-from them.
+from them. Score dumps carry the header ``index,score`` with indices
+running from the curve's test start.
+
+Both formats are read as ``int()``/``float()`` read their fields: blank
+lines are skipped and CRLF is accepted. numpy's C reader (``np.loadtxt``)
+reads a subset of that to the same numbers, so it reads every file of at
+least ``BULK_MIN_BYTES``; a file it rejects, or whose columns fail their
+checks, is read again by the line loop, the one source of read errors.
 
 Row numbers in errors count data rows starting at 1 (the header is row 0).
 
@@ -38,14 +45,28 @@ import numpy as np
 
 from .core import DEFAULT_RATIO, SplitSpec, TimeSeries, split_series
 from .errors import (
-    ConfigError, InvariantViolation, MissingManifest, ParseError, from_fields, require_int,
+    ConfigError, DatasetError, InvariantViolation, MissingManifest, ParseError, from_fields,
+    require_int,
 )
 
 CURVE_HEADER = "index,value,label"
+DUMP_HEADER = "index,score"
 
 # Rows formatted and written per write call, in curve files and score
 # dumps: bounds the text held in memory for one file.
 CHUNK_ROWS = 8192
+
+# Files at least this long are read by numpy's C reader. It costs about
+# 100 us a file before its first row, so below about 60 rows (1.5 KB) the
+# line loop is faster.
+BULK_MIN_BYTES = 1536
+
+# The columns numpy reads. Labels are read as str objects, which must be
+# "0" or "1" as the loop requires: as numbers "+1" and "01" would read as
+# 1, and fixed-width text drops trailing NULs. Both are cached one-character
+# strings, so the column costs one pointer a row.
+_CURVE_ROWS = np.dtype([("index", np.int64), ("value", np.float64), ("label", object)])
+_DUMP_ROWS = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
 @contextlib.contextmanager
@@ -193,6 +214,73 @@ def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
     return values, labels
 
 
+def _bulk_rows(path: str, header: str, rows: np.dtype, first: int):
+    """The data rows of the file at path, read by numpy's C reader into the
+    structured dtype ``rows``; or None, leaving the file to the line loop,
+    if it is under BULK_MIN_BYTES, has another header or no data row, or
+    has a row numpy rejects, an ``index`` column other than first,
+    first + 1, ..., or a non-finite ``value``."""
+    with open(path, encoding="utf-8") as fh:
+        if os.fstat(fh.fileno()).st_size < BULK_MIN_BYTES:
+            return None
+        try:
+            # numpy warns on a file without data rows; the loop rejects it
+            if fh.readline().rstrip("\r\n") != header or all(line == "\n" for line in fh):
+                return None
+        except UnicodeDecodeError:
+            return None
+    try:
+        table = np.loadtxt(path, rows, comments=None, delimiter=",", skiprows=1,
+                           encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+    index = table["index"]
+    if (index == np.arange(first, first + len(index))).all() and np.isfinite(table["value"]).all():
+        return table
+    return None
+
+
+def _read_curve_file(path: str) -> tuple[Sequence[float], Sequence[int]]:
+    """Values and labels of a curve file."""
+    table = _bulk_rows(path, CURVE_HEADER, _CURVE_ROWS, 0)
+    if table is not None:
+        ones = table["label"] == "1"
+        if (ones | (table["label"] == "0")).all():
+            return table["value"], ones.astype(np.int64)
+    return _parse_curve_file(path)
+
+
+def _parse_score_dump(path: str, test_start: int) -> list[float]:
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != DUMP_HEADER:
+            raise DatasetError(f"{path}: expected {DUMP_HEADER!r} header")
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            try:
+                index, value = line.split(",")
+                index, value = int(index), float(value)
+            except ValueError:
+                raise DatasetError(f"{path}: malformed row {line!r}") from None
+            expected = test_start + len(values)
+            if index != expected:
+                raise DatasetError(f"{path}: index {index} where {expected} was expected")
+            values.append(value)
+    return values
+
+
+def read_score_dump(path: str, test_start: int) -> np.ndarray:
+    """Scores of one dump, whose index column must run test_start,
+    test_start + 1, ..."""
+    table = _bulk_rows(path, DUMP_HEADER, _DUMP_ROWS, test_start)
+    if table is not None:
+        return table["value"]
+    return np.array(_parse_score_dump(path, test_start), dtype=np.float64)
+
+
 def _resolve_split(curve: CurveSpec, manifest: DatasetManifest, n: int) -> SplitSpec:
     if curve.has_predefined_split:
         return SplitSpec(curve.train_end, curve.valid_end, source="predefined")
@@ -215,7 +303,7 @@ def load_dataset(root: str) -> tuple[list[TimeSeries], DatasetManifest]:
         path = os.path.join(root, curve.file)
         if not os.path.isfile(path):
             raise ParseError(f"curve file {path} referenced by manifest is missing")
-        values, labels = _parse_curve_file(path)
+        values, labels = _read_curve_file(path)
         split = _resolve_split(curve, manifest, len(values))
         series.append(TimeSeries(id=curve.id, values=values, labels=labels, split=split))
     return series, manifest

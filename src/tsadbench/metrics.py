@@ -42,6 +42,7 @@ from .core import AnomalySegment, extract_segments
 from .errors import (
     ConfigError,
     EmptyDataset,
+    LengthMismatch,
     NonFiniteScore,
     NoPositiveEvents,
     from_fields,
@@ -400,6 +401,102 @@ def _ranked(scores) -> RankedScores:
     return scores if isinstance(scores, RankedScores) else RankedScores(scores)
 
 
+class CurveLabels:
+    """A label mask plus the sweep work that depends on nothing else: its
+    segments, and per ``prolong_len`` the prolonged segments with their
+    sweep inputs, computed on first use and shared by every score array
+    and criterion evaluated on the curve."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.n = len(labels)
+        self.positive = bool(labels.any() if isinstance(labels, np.ndarray) else any(labels))
+        self._prolonged: dict[int, ProlongedSegments] = {}
+
+    @_lazy
+    def segments(self) -> list[AnomalySegment]:
+        return _segments(self.labels, self.n)
+
+    def prolonged(self, prolong_len: int) -> ProlongedSegments:
+        found = self._prolonged.get(prolong_len)
+        if found is None:
+            segments = prolong_segments(self.segments, prolong_len, self.n)
+            found = self._prolonged[prolong_len] = ProlongedSegments(segments, self.n)
+        return found
+
+
+def _labeled(labels) -> CurveLabels:
+    return labels if isinstance(labels, CurveLabels) else CurveLabels(labels)
+
+
+class ProlongedSegments:
+    """The prolonged segments of a curve of n points and the label-only
+    inputs of both sweeps, computed on first use: the loop's segment mask;
+    the numpy sweep's per-segment bounds (per K), in-segment mask and its
+    prefix sums, and segment weights (per variant)."""
+
+    def __init__(self, segments: Sequence[ExtendedSegment], n: int):
+        self.segments = segments
+        self.n = n
+        self._bounds: dict[int | None, np.ndarray] = {}
+        self._weights: dict[str, np.ndarray] = {}
+
+    @_lazy
+    def mask(self) -> bytearray:
+        return _segment_mask(self.segments, self.n)
+
+    def bounds(self, k_delay: int | None) -> np.ndarray:
+        """Per segment: start, detection window end + 1, end + 1, original
+        end + 1."""
+        found = self._bounds.get(k_delay)
+        if found is None:
+            found = self._bounds[k_delay] = _read_only(np.array(
+                [(s.start, _detect_window_end(s, k_delay) + 1, s.end + 1, s.orig_end + 1)
+                 for s in self.segments],
+                dtype=np.intp,
+            ).reshape(-1, 4))
+        return found
+
+    @_lazy
+    def in_seg(self) -> np.ndarray:
+        """1 inside a segment, else 0, at each of the n points and one past."""
+        bounds = self.bounds(None)
+        marks = np.zeros(self.n + 1, dtype=np.intp)
+        marks[bounds[:, 0]] += 1
+        marks[bounds[:, 2]] -= 1
+        return _read_only(marks.cumsum())
+
+    @_lazy
+    def before(self) -> np.ndarray:
+        """In-segment points before each index."""
+        return _read_only(np.concatenate(([0], self.in_seg.cumsum())))
+
+    def weights(self, variant: str) -> np.ndarray:
+        """Per segment: its extended length (point-wise), its original
+        length's scaled weight (reduced-length) or 1 (event-wise)."""
+        found = self._weights.get(variant)
+        if found is None:
+            bounds = self.bounds(None)
+            if variant == "point_wise_pa":
+                found = bounds[:, 2] - bounds[:, 0]
+            elif variant == "reduced_length_pa":
+                found = _scaled_weights(self.n + 1)[1][bounds[:, 3] - bounds[:, 0]]
+            else:
+                found = np.ones(len(bounds), dtype=np.intp)
+            self._weights[variant] = found = _read_only(found)
+        return found
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: every sweep on the curve shares it."""
+    array.flags.writeable = False
+    return array
+
+
+def _prolonged(segments, n: int) -> ProlongedSegments:
+    return segments if isinstance(segments, ProlongedSegments) else ProlongedSegments(segments, n)
+
+
 def _descending_order(ranked: RankedScores):
     """Up to SWEEP_CUTOFF points a stable sort of the list (ties keep list
     order); above it numpy's argsort, reversed (an array)."""
@@ -441,6 +538,7 @@ def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
     per threshold.
     """
     scores, order, n = ranked.values, ranked.order, ranked.n
+    segments = _prolonged(segments, n)
     point_wise = criterion.variant == "point_wise_pa"
     weighted = criterion.variant == "reduced_length_pa"
     run_w = _scaled_weights(n + 1)[0] if weighted else [1] * (n + 1)
@@ -448,12 +546,12 @@ def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
     det = sorted(
         ((max(scores[s.start : _detect_window_end(s, criterion.k_delay) + 1]),
           s.end - s.start + 1 if point_wise else run_w[s.orig_length])
-         for s in segments),
+         for s in segments.segments),
         reverse=True,
     )
     total_w = sum(w for _, w in det)
 
-    in_seg = _segment_mask(segments, n)
+    in_seg = segments.mask
     other_end = list(range(n))
     active = bytearray(n)
     tainted = bytearray(n)  # meaningful at a run's left endpoint
@@ -515,27 +613,14 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     event sweep's point adds the clean run it completes and removes those it
     joins. Sums are read at tie group ends, exact before their one rounding.
     """
-    n = ranked.n
+    segments = _prolonged(segments, ranked.n)
     ends, thresholds = ranked.ties
-    k = criterion.k_delay
-    bounds = np.array(
-        [(s.start, _detect_window_end(s, k) + 1, s.end + 1, s.orig_end + 1) for s in segments],
-        dtype=np.intp,
-    ).reshape(-1, 4)
+    bounds = segments.bounds(criterion.k_delay)
     padded = np.append(ranked.array, -math.inf)  # a peak window may end at n
     peaks = np.maximum.reduceat(padded, bounds[:, :2].ravel())[::2]
-    marks = np.zeros(n + 1, dtype=np.intp)
-    marks[bounds[:, 0]] += 1
-    marks[bounds[:, 2]] -= 1
-    in_seg = marks.cumsum()
+    in_seg = segments.in_seg
     weighted = criterion.variant == "reduced_length_pa"
-    if criterion.variant == "point_wise_pa":
-        weights = bounds[:, 2] - bounds[:, 0]
-    elif weighted:
-        table = _scaled_weights(n + 1)[1]
-        weights = table[bounds[:, 3] - bounds[:, 0]]
-    else:
-        weights = np.ones(len(bounds), dtype=np.intp)
+    weights = segments.weights(criterion.variant)
     up = np.argsort(peaks)
     missed = np.searchsorted(peaks[up], thresholds)  # segments peaking below t
     tps = _sums(weights[up[::-1]], len(peaks) - missed, weighted)
@@ -545,20 +630,23 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
         return thresholds, tps, _sums(1 - in_seg[ranked.order], ends + 1, False), fns, total
 
     p, lo, hi = ranked.runs
-    before = np.concatenate(([0], in_seg.cumsum()))  # in-segment points before i
+    before = segments.before
     at_lo, at_p, after_p, at_hi = before[lo], before[p], before[p + 1], before[hi]
     left = (lo < p) & (at_lo == at_p)  # [lo, p) was a clean run
     right = (p + 1 < hi) & (after_p == at_hi)  # so was (p, hi)
     merged = at_lo == at_hi  # [lo, hi) is one
     if weighted:
+        table = _scaled_weights(ranked.n + 1)[1]
         terms = merged * table[hi - lo] - left * table[p - lo] - right * table[hi - p - 1]
     else:
         terms = 1 * merged - left - right
     return thresholds, tps, _sums(terms, ends + 1, weighted), fns, total
 
 
-def _sweep(ranked: RankedScores, segments, criterion: EvalCriterion):
+def _sweep(ranked: RankedScores, segments: ProlongedSegments, criterion: EvalCriterion):
     """Lists from the loop up to SWEEP_CUTOFF points, arrays above it."""
+    if segments.n != ranked.n:
+        raise LengthMismatch(f"{ranked.n} scores for {segments.n} labels")
     if ranked.n > SWEEP_CUTOFF:
         return _sweep_numpy(ranked, segments, criterion)
     return _sweep_loop(ranked, segments, criterion)
@@ -572,8 +660,7 @@ def sweep_confusions(
     Returns (thresholds, tps, fps, fns, total_positive_weight).
     """
     ranked = _ranked(scores)
-    segments = prolong_segments(_segments(labels, len(labels)), criterion.prolong_len, ranked.n)
-    sweep = _sweep(ranked, segments, criterion)
+    sweep = _sweep(ranked, _labeled(labels).prolonged(criterion.prolong_len), criterion)
     if isinstance(sweep[1], np.ndarray):
         return (*(column.tolist() for column in sweep[:4]), sweep[4])
     return sweep
@@ -624,13 +711,9 @@ def _segments(labels, n: int) -> list[AnomalySegment]:
     return segments
 
 
-def _reports(scores, labels, criteria: Sequence[EvalCriterion]) -> list[MetricReport]:
-    ranked = _ranked(scores)
-    segments = _segments(labels, len(labels))
-    return [
-        _report(_sweep(ranked, prolong_segments(segments, c.prolong_len, ranked.n), c), c)
-        for c in criteria
-    ]
+def _reports(ranked: RankedScores, labels: CurveLabels,
+             criteria: Sequence[EvalCriterion]) -> list[MetricReport]:
+    return [_report(_sweep(ranked, labels.prolonged(c.prolong_len), c), c) for c in criteria]
 
 
 def evaluate_criteria(
@@ -638,12 +721,14 @@ def evaluate_criteria(
 ) -> list[MetricReport]:
     """Both headline metrics of one curve under each criterion.
 
-    The score-side work (order, tie groups, neighbours) is done once and
-    shared; pass a RankedScores to share it across calls too.
+    The score-side work (order, tie groups, neighbours) and the label-side
+    work (segments, sweep inputs) are done once and shared; pass a
+    RankedScores or a CurveLabels to share them across calls too.
     """
-    if not (labels.any() if isinstance(labels, np.ndarray) else any(labels)):
+    labels = _labeled(labels)
+    if not labels.positive:
         raise NoPositiveEvents("labels contain no anomaly")
-    return _reports(scores, labels, criteria)
+    return _reports(_ranked(scores), labels, criteria)
 
 
 def evaluate_curve(scores, labels, criterion: EvalCriterion) -> MetricReport:
@@ -657,7 +742,7 @@ def best_f1(scores, labels, criterion: EvalCriterion) -> MetricReport:
     Ties resolve to the lowest threshold. Unlike ``evaluate_curve`` it
     accepts labels without anomalies; the report's ``auprc`` is NaN.
     """
-    return replace(_reports(scores, labels, (criterion,))[0], auprc=math.nan)
+    return replace(_reports(_ranked(scores), _labeled(labels), (criterion,))[0], auprc=math.nan)
 
 
 def auprc(scores, labels, criterion: EvalCriterion) -> float:

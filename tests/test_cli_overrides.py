@@ -110,6 +110,6 @@ def test_dump_longer_than_one_chunk(tmp_path):
     data = (tmp_path / "scores" / "d" / "naive" / "x" / "c.csv").read_bytes()
     lines = ["index,score\n"] + [f"{30 + j},{float(v)!r}\n" for j, v in enumerate(scores)]
     assert data == "".join(lines).encode()
-    assert bench._load_score_dump(
+    assert datasets.read_score_dump(
         str(tmp_path / "scores" / "d" / "naive" / "x" / "c.csv"), 30
-    ) == scores.tolist()
+    ).tolist() == scores.tolist()

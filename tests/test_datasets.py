@@ -1,8 +1,11 @@
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from tsadbench import bench, datasets
 from tsadbench.cli import main as cli_main
 from tsadbench.core import SplitSpec, TimeSeries
 from tsadbench.datasets import (
@@ -178,6 +181,14 @@ class TestManifestFields:
         assert capsys.readouterr().err.startswith(f"dataset error: manifest {root}")
         assert not (out / "scores").exists()
 
+    def test_bad_manifest_leaves_no_output_directory(self, tmp_path):
+        root = self._dataset(tmp_path, {"k_delay": True})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"datasets": [root], "detectors": [{"kind": "first_diff"}]}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "-c", str(config), "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_well_typed_fields_load(self, tmp_path):
         root = self._dataset(tmp_path, {
             "k_delay": 0,
@@ -222,6 +233,138 @@ class TestRoundTrip:
                 (tmp_path / "two" / fname).read_bytes()
                 == (tmp_path / "three" / fname).read_bytes()
             )
+
+
+# Curve-file bodies (after the header) and score-dump files. numpy's reader
+# and the line loop must agree on each: the same numbers, or the same
+# exception and message. The flag says whether numpy's reader is the one
+# that reads the file; every other case falls back to the loop.
+CURVE_CASES = {
+    "crlf": ("0,1.5,0\r\n1,-0.0,1\r\n", True),
+    "lone-cr": ("0,1.5,0\r1,2.5,1\r", True),
+    "blank-line": ("0,1.5,0\n\n1,2.5,1\n", True),
+    "whitespace-line": ("0,1.5,0\n  \n1,2.5,1\n", False),
+    "no-final-lf": ("0,1.5,0\n1,2.5,1", True),
+    "header-only": ("", False),
+    "blank-lines-only": ("\n\n\r\n", False),
+    "four-columns": ("0,1.5,0,7\n", False),
+    "label-plus-one": ("0,1.5,+1\n", False),
+    "label-zero-one": ("0,1.5,01\n", False),
+    "label-two": ("0,1.5,2\n", False),
+    "label-space": ("0,1.5, 1\n", False),
+    "label-trailing-nul": ("0,1.5,1\x00\n", False),
+    "value-nan": ("0,nan,0\n", False),
+    "value-underscore": ("0,1_5,0\n", False),
+    "value-arabic-digit": ("0,\u0661,0\n", False),
+    "value-spaces": ("0, 1e-300 ,1\n", True),
+    "index-plus": ("+0,1.5,0\n1,2.5,1\n", True),
+    "index-gap": ("0,1.5,0\n2,2.5,1\n", False),
+    "invalid-utf8": (b"0,1.5,0\n1,\xff,1\n", False),
+}
+
+DUMP_START = 200
+DUMP_CASES = {
+    "pair-up": ("index,score\n200\n1.0,201,2.0\n", False),
+    "crlf": ("index,score\r\n200,0.5\r\n201,1.5\r\n", True),
+    "reversed": ("index,score\n201,0.5\n200,1.5\n", False),
+    "blank-line": ("index,score\n200,0.5\n\n201,1.5\n", True),
+    "index-2e2": ("index,score\n2e2,0.5\n", False),
+    "index-2_00": ("index,score\n2_00,0.5\n", False),
+    "spaces": ("index,score\n 200 , 0.5 \n", True),
+    "header-only": ("index,score\n", False),
+    "bad-header": ("index,value\n200,0.5\n", False),
+    "negative-zero": ("index,score\n200,-0.0\n201,0.0\n", True),
+    "infinite": ("index,score\n200,1e400\n", False),
+    # past numpy's 50,000-row read chunk, with a gap after row 50,000
+    "gap-after-chunk": (
+        "index,score\n" + "".join(f"{DUMP_START + j + (j >= 50_001)},{j / 7!r}\n"
+                                   for j in range(60_000)),
+        False,
+    ),
+}
+
+
+def _outcome(read, *args):
+    """Numbers as float.hex strings (signed zeros count), or the exception."""
+    try:
+        result = read(*args)
+    except Exception as exc:  # noqa: BLE001  (the class and message are compared)
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        values, labels = result
+        return [float(v).hex() for v in values], [int(v) for v in labels]
+    return [float(v).hex() for v in result]
+
+
+def _spied(monkeypatch, name):
+    """Calls of the line loop ``datasets.<name>``, which the reader makes
+    only when numpy's reader rejects the file."""
+    calls = []
+    loop = getattr(datasets, name)
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(datasets, name, spy)
+    monkeypatch.setattr(datasets, "BULK_MIN_BYTES", 0)
+    return loop, calls
+
+
+class TestReaderEquivalence:
+    @pytest.mark.parametrize("body, bulk", CURVE_CASES.values(), ids=CURVE_CASES.keys())
+    def test_curve_file(self, tmp_path, monkeypatch, body, bulk):
+        path = tmp_path / "a.csv"
+        body = body if isinstance(body, bytes) else body.encode()
+        path.write_bytes(b"index,value,label\n" + body)
+        loop, calls = _spied(monkeypatch, "_parse_curve_file")
+        want = _outcome(loop, str(path))
+        assert _outcome(datasets._read_curve_file, str(path)) == want
+        assert (not calls) == bulk
+
+    @pytest.mark.parametrize("text, bulk", DUMP_CASES.values(), ids=DUMP_CASES.keys())
+    def test_score_dump(self, tmp_path, monkeypatch, text, bulk):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        loop, calls = _spied(monkeypatch, "_parse_score_dump")
+        want = _outcome(loop, str(path), DUMP_START)
+        assert _outcome(datasets.read_score_dump, str(path), DUMP_START) == want
+        assert (not calls) == bulk
+
+    def test_small_files_skip_numpy(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        path.write_text("index,score\n200,0.5\n")
+        calls = []
+        monkeypatch.setattr(datasets.np, "loadtxt", lambda *a, **k: calls.append(a))
+        assert datasets.read_score_dump(str(path), DUMP_START).tolist() == [0.5]
+        assert calls == []
+
+
+class TestReaderMemory:
+    """tracemalloc peaks of the readers, bounded by those of the line loops
+    they replaced (7.9 and 4.2 MiB), which held each row as Python objects."""
+
+    def _peak(self, read, *args):
+        tracemalloc.start()
+        try:
+            read(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_long_curve(self, tmp_path):
+        n = 140_000
+        rng = np.random.default_rng(7)
+        labels = (rng.random(n) < 0.02).astype(np.int64)
+        series = TimeSeries("long", rng.standard_normal(n), labels, SplitSpec(56_000, 70_000))
+        write_dataset(str(tmp_path), [series], name="mem")
+        assert self._peak(load_dataset, str(tmp_path)) <= 7.9 * 2**20
+
+    def test_long_dump(self, tmp_path):
+        scores = np.random.default_rng(8).standard_normal(136_500)
+        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 3_500, scores)
+        path = str(tmp_path / "scores" / "d" / "naive" / "x" / "c.csv")
+        assert self._peak(datasets.read_score_dump, path, 3_500) <= 4.2 * 2**20
 
 
 class TestFilterAnomalyFree:

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ import oracle
 from tsadbench import metrics
 from tsadbench.cli import main as cli_main
 from tsadbench.core import extract_segments
+from tsadbench.errors import NoPositiveEvents
 from tsadbench.metrics import (
     SWEEP_CUTOFF,
     VARIANTS,
+    CurveLabels,
     EvalCriterion,
     RankedScores,
     best_f1,
@@ -253,6 +256,74 @@ class TestLongCurve:
             for i in range(0, len(thresholds), max(1, len(thresholds) // 200)):
                 want = confusion_at_threshold(scores, segments, thresholds[i], criterion)
                 assert _same_bits([column[i] for column in slow[1:4]], list(want)), (k, i)
+
+
+def _assert_same_reports(got, want):
+    assert got == want
+    for a, b in zip(got, want):
+        for field in REPORT_FIELDS:
+            assert getattr(a, field).hex() == getattr(b, field).hex(), (field, a.criterion)
+
+
+def _curve_labels_match_masks(scores, labels):
+    """Reports through one CurveLabels, shared by every setting, equal
+    those from the label mask, setting by setting and all at once."""
+    ranked = RankedScores(scores)
+    shared = CurveLabels(labels)
+    criteria = [EvalCriterion(v, k_delay=k, prolong_len=l) for v, k, l in SETTINGS]
+    want = [evaluate_curve(ranked, labels, c) for c in criteria]
+    _assert_same_reports([evaluate_curve(ranked, shared, c) for c in criteria], want)
+    _assert_same_reports(evaluate_criteria(ranked, shared, criteria), want)
+    assert shared.prolonged(9) is shared.prolonged(9)
+
+
+@pytest.mark.parametrize("n", [10, SWEEP_CUTOFF, SWEEP_CUTOFF + 1, 1000])
+@pytest.mark.parametrize("quantized", [False, True])
+def test_curve_labels_match_masks(n, quantized):
+    rng = SplitMix64(31 * n + quantized)
+    for _ in range(3):
+        labels = _random_labels(rng, n)
+        labels[n // 2] = 1
+        _curve_labels_match_masks(_scores(rng, n, quantized), labels)
+
+
+def test_curve_labels_match_masks_on_a_long_curve():
+    rng = SplitMix64(2026)
+    n = 120_000
+    labels = _random_labels(rng, n)
+    _curve_labels_match_masks(np.array([rng.randint(64) / 63.0 for _ in range(n)]), labels)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_curve_labels_shared_by_two_score_arrays(n):
+    rng = SplitMix64(5 + n)
+    labels = _random_labels(rng, n)
+    labels[0] = 1
+    criteria = [EvalCriterion(v, k_delay=k, prolong_len=l) for v, k, l in SETTINGS]
+    shuffled = [criteria[i] for i in sorted(range(len(criteria)), key=lambda _: rng.uniform())]
+    shared = CurveLabels(np.array(labels))
+    for quantized in (False, True):
+        scores = _scores(rng, n, quantized)
+        got = {r.criterion: r for r in evaluate_criteria(scores, shared, shuffled)}
+        want = evaluate_criteria(scores, labels, criteria)
+        _assert_same_reports([got[c] for c in criteria], want)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_curve_labels_without_anomaly(n):
+    rng = SplitMix64(n)
+    scores, labels = _scores(rng, n, False), [0] * n
+    shared = CurveLabels(labels)
+    for variant, k, l in SETTINGS:
+        criterion = EvalCriterion(variant, k_delay=k, prolong_len=l)
+        for given in (labels, shared):
+            with pytest.raises(NoPositiveEvents):
+                evaluate_curve(scores, given, criterion)
+        report = best_f1(scores, shared, criterion)
+        assert report.f1_best == 0.0 and report.best_threshold == min(scores)
+        assert math.isnan(report.auprc)
+        _assert_same_reports([replace(report, auprc=0.0)],
+                             [replace(best_f1(scores, labels, criterion), auprc=0.0)])
 
 
 def test_reduced_length_past_split_limit_raises(monkeypatch):
