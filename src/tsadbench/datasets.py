@@ -20,9 +20,9 @@ running from the curve's test start.
 
 Both formats are read as ``int()``/``float()`` read their fields: blank
 lines are skipped and CRLF is accepted. numpy's C reader (``np.loadtxt``)
-reads a subset of that to the same numbers, so it reads every file of at
-least ``BULK_MIN_BYTES``; a file it rejects, or whose columns fail their
-checks, is read again by the line loop, the one source of read errors.
+reads a subset of that to the same numbers, so it reads every file first;
+a file it rejects, or whose columns fail their checks, is read again by
+the line loop, the one source of read errors.
 
 Row numbers in errors count data rows starting at 1 (the header is row 0).
 
@@ -56,12 +56,10 @@ DUMP_HEADER = "index,score"
 # dumps: bounds the text held in memory for one file.
 CHUNK_ROWS = 8192
 
-# Files at least this long are read by numpy's C reader. It costs about
-# 100 us a file before its first row, so below about 60 rows (1.5 KB) the
-# line loop is faster.
-BULK_MIN_BYTES = 1536
-
-# The columns numpy reads. Labels are read as str objects, which must be
+# The columns numpy reads. Its int64 parser rejects "2e2" and "200.0", as
+# int() does; numpy 1.23 deprecated, but still made, the parse through a
+# float (200), so pyproject.toml asks for the numpy release this reader
+# was checked against. Labels are read as str objects, which must be
 # "0" or "1" as the loop requires: as numbers "+1" and "01" would read as
 # 1, and fixed-width text drops trailing NULs. Both are cached one-character
 # strings, so the column costs one pointer a row.
@@ -217,12 +215,10 @@ def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
 def _bulk_rows(path: str, header: str, rows: np.dtype, first: int):
     """The data rows of the file at path, read by numpy's C reader into the
     structured dtype ``rows``; or None, leaving the file to the line loop,
-    if it is under BULK_MIN_BYTES, has another header or no data row, or
-    has a row numpy rejects, an ``index`` column other than first,
-    first + 1, ..., or a non-finite ``value``."""
+    if it has another header or no data row, or has a row numpy rejects,
+    an ``index`` column other than first, first + 1, ..., or a non-finite
+    ``value``."""
     with open(path, encoding="utf-8") as fh:
-        if os.fstat(fh.fileno()).st_size < BULK_MIN_BYTES:
-            return None
         try:
             # numpy warns on a file without data rows; the loop rejects it
             if fh.readline().rstrip("\r\n") != header or all(line == "\n" for line in fh):

@@ -459,17 +459,21 @@ class ProlongedSegments:
 
     @_lazy
     def in_seg(self) -> np.ndarray:
-        """1 inside a segment, else 0, at each of the n points and one past."""
+        """1 inside a segment, else 0, at each of the n points and one past;
+        int8, as the cache lives as long as the curve."""
         bounds = self.bounds(None)
-        marks = np.zeros(self.n + 1, dtype=np.intp)
+        marks = np.zeros(self.n + 1, dtype=np.int8)
         marks[bounds[:, 0]] += 1
         marks[bounds[:, 2]] -= 1
-        return _read_only(marks.cumsum())
+        return _read_only(marks.cumsum(dtype=np.int8))
 
     @_lazy
     def before(self) -> np.ndarray:
-        """In-segment points before each index."""
-        return _read_only(np.concatenate(([0], self.in_seg.cumsum())))
+        """In-segment points before each index (int32: a curve has fewer
+        than 2**31 points)."""
+        before = np.zeros(self.n + 2, dtype=np.int32)
+        self.in_seg.cumsum(dtype=np.int32, out=before[1:])
+        return _read_only(before)
 
     def weights(self, variant: str) -> np.ndarray:
         """Per segment: its extended length (point-wise), its original

@@ -259,6 +259,7 @@ CURVE_CASES = {
     "value-spaces": ("0, 1e-300 ,1\n", True),
     "index-plus": ("+0,1.5,0\n1,2.5,1\n", True),
     "index-gap": ("0,1.5,0\n2,2.5,1\n", False),
+    "index-float": ("0,1.5,0\n1.0,2.5,1\n", False),
     "invalid-utf8": (b"0,1.5,0\n1,\xff,1\n", False),
 }
 
@@ -270,6 +271,8 @@ DUMP_CASES = {
     "blank-line": ("index,score\n200,0.5\n\n201,1.5\n", True),
     "index-2e2": ("index,score\n2e2,0.5\n", False),
     "index-2_00": ("index,score\n2_00,0.5\n", False),
+    "index-200.0": ("index,score\n200.0,0.5\n", False),
+    "index-200.7": ("index,score\n200.7,0.5\n", False),
     "spaces": ("index,score\n 200 , 0.5 \n", True),
     "header-only": ("index,score\n", False),
     "bad-header": ("index,value\n200,0.5\n", False),
@@ -307,7 +310,6 @@ def _spied(monkeypatch, name):
         return loop(*args)
 
     monkeypatch.setattr(datasets, name, spy)
-    monkeypatch.setattr(datasets, "BULK_MIN_BYTES", 0)
     return loop, calls
 
 
@@ -330,14 +332,6 @@ class TestReaderEquivalence:
         want = _outcome(loop, str(path), DUMP_START)
         assert _outcome(datasets.read_score_dump, str(path), DUMP_START) == want
         assert (not calls) == bulk
-
-    def test_small_files_skip_numpy(self, tmp_path, monkeypatch):
-        path = tmp_path / "c.csv"
-        path.write_text("index,score\n200,0.5\n")
-        calls = []
-        monkeypatch.setattr(datasets.np, "loadtxt", lambda *a, **k: calls.append(a))
-        assert datasets.read_score_dump(str(path), DUMP_START).tolist() == [0.5]
-        assert calls == []
 
 
 class TestReaderMemory:
