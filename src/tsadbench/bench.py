@@ -32,8 +32,8 @@ import numpy as np
 from . import detectors as det
 from .core import ScoreSeries, TimeSeries, validate_scores
 from .datasets import (
-    CHUNK_ROWS, DUMP_HEADER, DatasetManifest, atomic_open, filter_anomaly_free, load_dataset,
-    read_score_dump, resolve_k_delay, write_json,
+    atomic_open, filter_anomaly_free, load_dataset, read_score_dump, resolve_k_delay, write_json,
+    write_score_dump,
 )
 from .errors import (
     ConfigError,
@@ -225,12 +225,6 @@ class RunReport:
         }
 
 
-@dataclass
-class _TaskOutcome:
-    scores: list[tuple[str, np.ndarray]]
-    runtime: RuntimeStat
-
-
 def _failure(dataset: str, schema: str, detector: str, curves, exc: TsadError) -> dict:
     """The failures entry of results.json for curves that produced no rows."""
     return {
@@ -243,19 +237,14 @@ def _failure(dataset: str, schema: str, detector: str, curves, exc: TsadError) -
     }
 
 
-def _pool_values(task: Task, series_by_id: Mapping[str, TimeSeries]) -> list[np.ndarray]:
-    return [
-        series_by_id[sid].values[start:end] for sid, (start, end) in task.train_refs
-    ]
-
-
 def _run_builtin_task(
     config: det.DetectorConfig,
     task: Task,
     series_by_id: Mapping[str, TimeSeries],
-) -> _TaskOutcome:
+) -> tuple[list[tuple[str, np.ndarray]], RuntimeStat]:
     t0 = time.perf_counter()
-    fitted = det.fit(config, _pool_values(task, series_by_id))
+    pool = [series_by_id[sid].values[start:end] for sid, (start, end) in task.train_refs]
+    fitted = det.fit(config, pool)
     fit_seconds = time.perf_counter() - t0
     scores = []
     inference = 0.0
@@ -274,68 +263,85 @@ def _run_builtin_task(
     stat = RuntimeStat(
         fit_seconds, inference, samples, fitted.count_parameters(), fitted.store_size
     )
-    return _TaskOutcome(scores, stat)
+    return scores, stat
 
 
 def _run_external_task(
     spec: ExternalDetectorSpec,
     task: Task,
     series_by_id: Mapping[str, TimeSeries],
-) -> _TaskOutcome:
+) -> tuple[list[tuple[str, np.ndarray]], RuntimeStat]:
     t0 = time.perf_counter()
     results = drive(spec, task, series_by_id)
     elapsed = time.perf_counter() - t0
     # external processes are timed end to end, so all of it is inference
     stat = RuntimeStat(inference_seconds=elapsed, scored_samples=sum(len(r) for r in results))
-    return _TaskOutcome([(r.series_id, r.scores) for r in results], stat)
+    return [(r.series_id, r.scores) for r in results], stat
 
 
 def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: str,
                  test_start: int, scores: np.ndarray) -> None:
     directory = os.path.join(out_dir, "scores", dataset, schema, detector)
     os.makedirs(directory, exist_ok=True)
-    with atomic_open(os.path.join(directory, f"{curve}.csv")) as fh:
-        fh.write(DUMP_HEADER + "\n")
-        for lo in range(0, len(scores), CHUNK_ROWS):
-            chunk = scores[lo : lo + CHUNK_ROWS].tolist()
-            fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)]))
+    write_score_dump(os.path.join(directory, f"{curve}.csv"), test_start, scores)
+
+
+@dataclass(frozen=True)
+class DatasetContext:
+    """One dataset as ``run`` and ``eval`` score it: its kept curves and
+    their labels by id, in manifest order, and each configured criterion's
+    label next to the criterion with its K resolved for this dataset."""
+
+    name: str
+    series_by_id: Mapping[str, TimeSeries]
+    labels_by_id: Mapping[str, CurveLabels]
+    criteria: tuple[tuple[str, EvalCriterion], ...]
+
+
+def _dataset_context(report: RunReport, root: str, criteria: Sequence[EvalCriterion],
+                     k_delay_overrides: Mapping[str, int | None]) -> DatasetContext:
+    """The context of the dataset under root; each curve without an anomaly
+    in its test region is recorded in report as an exclusion."""
+    series, manifest = load_dataset(root)
+    kept, excluded = filter_anomaly_free(series)
+    for cid in excluded:
+        report.exclusions.append(
+            {"dataset": manifest.name, "curve": cid, "reason": EXCLUDED_ANOMALY_FREE}
+        )
+    return DatasetContext(
+        name=manifest.name,
+        series_by_id={s.id: s for s in kept},
+        labels_by_id={s.id: CurveLabels(s.test_labels()) for s in kept},
+        criteria=tuple(
+            (c.label, replace(c, k_delay=resolve_k_delay(k_delay_overrides, manifest, c.k_delay)))
+            for c in criteria
+        ),
+    )
 
 
 def run(config: RunConfig, output_dir: str) -> RunReport:
     """Execute the full benchmark and write score dumps under output_dir."""
     report = RunReport(config_echo=config.echo())
-    loaded: list[tuple[str, list[TimeSeries], DatasetManifest]] = []
-    seen_names = set()
+    contexts: dict[str, DatasetContext] = {}
     for root in config.datasets:
-        series, manifest = load_dataset(root)
-        if manifest.name in seen_names:
-            raise DatasetError(f"duplicate dataset name {manifest.name!r}")
-        seen_names.add(manifest.name)
-        loaded.append((root, series, manifest))
+        ctx = _dataset_context(report, root, config.criteria, config.k_delay_overrides)
+        if ctx.name in contexts:
+            raise DatasetError(f"duplicate dataset name {ctx.name!r}")
+        contexts[ctx.name] = ctx
     os.makedirs(output_dir, exist_ok=True)
 
-    for _root, series, manifest in loaded:
-        kept, excluded = filter_anomaly_free(series)
-        for cid in excluded:
-            report.exclusions.append(
-                {"dataset": manifest.name, "curve": cid, "reason": EXCLUDED_ANOMALY_FREE}
-            )
-        if not kept:
+    for ctx in contexts.values():
+        if not ctx.series_by_id:
             continue
-        series_by_id = {s.id: s for s in kept}
-        labels_by_id = {s.id: CurveLabels(s.test_labels()) for s in kept}
-
         for schema in config.schemas:
             try:
-                plan = build_plan(schema, kept, config.seed)
+                plan = build_plan(schema, list(ctx.series_by_id.values()), config.seed)
             except (TooFewSeries, EmptyDataset) as exc:
-                report.failures.append(_failure(manifest.name, schema, "*", series_by_id, exc))
+                report.failures.append(_failure(ctx.name, schema, "*", ctx.series_by_id, exc))
                 continue
             for detector in config.detectors:
-                name = detector.name
-                builtin = isinstance(detector, det.DetectorConfig)
                 if (
-                    builtin
+                    isinstance(detector, det.DetectorConfig)
                     and schema != "naive"
                     and not detector.supports_pooling
                     and not config.allow_statistical_pooling
@@ -344,42 +350,31 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
                         for sid, _region in task.eval_refs:
                             report.exclusions.append(
                                 {
-                                    "dataset": manifest.name,
+                                    "dataset": ctx.name,
                                     "curve": sid,
-                                    "detector": name,
+                                    "detector": detector.name,
                                     "schema": schema,
                                     "reason": EXCLUDED_POOLING,
                                 }
                             )
                     continue
-                _run_detector(
-                    config, report, manifest, series_by_id, labels_by_id, plan, detector,
-                    output_dir,
-                )
+                _run_detector(config.workers, report, ctx, plan, detector, output_dir)
     return report
 
 
-def _run_detector(
-    config: RunConfig,
-    report: RunReport,
-    manifest: DatasetManifest,
-    series_by_id: Mapping[str, TimeSeries],
-    labels_by_id: Mapping[str, CurveLabels],
-    plan: BenchmarkPlan,
-    detector,
-    output_dir: str,
-) -> None:
+def _run_detector(workers: int, report: RunReport, ctx: DatasetContext, plan: BenchmarkPlan,
+                  detector, output_dir: str) -> None:
     name = detector.name
     runner = _run_builtin_task if isinstance(detector, det.DetectorConfig) else _run_external_task
 
-    def attempt(task: Task) -> _TaskOutcome | TsadError:
+    def attempt(task: Task) -> tuple[list, RuntimeStat] | TsadError:
         try:
-            return runner(detector, task, series_by_id)
+            return runner(detector, task, ctx.series_by_id)
         except TsadError as exc:
             return exc
 
-    if config.workers > 1 and len(plan.tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    if workers > 1 and len(plan.tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, plan.tasks))
     else:
         outcomes = [attempt(task) for task in plan.tasks]
@@ -388,49 +383,35 @@ def _run_detector(
     for task, outcome in zip(plan.tasks, outcomes):
         if isinstance(outcome, TsadError):
             curves = [sid for sid, _ in task.eval_refs]
-            report.failures.append(_failure(manifest.name, plan.schema, name, curves, outcome))
+            report.failures.append(_failure(ctx.name, plan.schema, name, curves, outcome))
             continue
-        stat.add(outcome.runtime)
-        for sid, arr in outcome.scores:
-            series = series_by_id[sid]
-            _dump_scores(
-                output_dir, manifest.name, plan.schema, name,
-                sid, series.test_start, arr,
-            )
-            _evaluate_into(
-                report, config.criteria, config.k_delay_overrides, manifest,
-                plan.schema, name, sid, arr, labels_by_id[sid],
-            )
+        scores, runtime = outcome
+        stat.add(runtime)
+        for sid, arr in scores:
+            test_start = ctx.series_by_id[sid].test_start
+            _dump_scores(output_dir, ctx.name, plan.schema, name, sid, test_start, arr)
+            _evaluate_into(report, ctx, plan.schema, name, sid, arr)
 
 
-def _evaluate_into(
-    report: RunReport,
-    criteria: Sequence[EvalCriterion],
-    k_delay_overrides: Mapping[str, int | None],
-    manifest: DatasetManifest,
-    schema: str,
-    detector: str,
-    curve: str,
-    scores: np.ndarray,
-    labels: CurveLabels,
-) -> None:
+def _evaluate_into(report: RunReport, ctx: DatasetContext, schema: str, detector: str,
+                   curve: str, scores: np.ndarray) -> None:
     # One ranking per score array shares the sort and run-neighbour work
     # across criteria, as the curve's CurveLabels shares its label work
     # across schemas, detectors and criteria; each criterion is still its
     # own evaluate_curve call, so a profiler or tracer wrapping it sees
     # every criterion separately.
     ranked = RankedScores(scores)
-    for criterion in criteria:
-        k_eff = resolve_k_delay(k_delay_overrides, manifest.name, manifest, criterion.k_delay)
-        result = evaluate_curve(ranked, labels, replace(criterion, k_delay=k_eff))
+    labels = ctx.labels_by_id[curve]
+    for label, criterion in ctx.criteria:
+        result = evaluate_curve(ranked, labels, criterion)
         report.rows.append(
             MetricRow(
-                dataset=manifest.name,
+                dataset=ctx.name,
                 curve=curve,
                 detector=detector,
                 schema=schema,
-                criterion=criterion.label,
-                k_delay=k_eff,
+                criterion=label,
+                k_delay=criterion.k_delay,
                 report=result,
             )
         )
@@ -445,16 +426,13 @@ def evaluate_scores(
     """Recompute metrics from score dumps without re-running detectors.
 
     Walks ``<scores_root>/<dataset>/<schema>/<detector>/<curve>.csv`` for
-    the dataset named by the manifest; per-curve problems (truncated,
-    non-finite or missing dumps) are recorded as failures. Under naive and
-    all_in_one every detector directory must hold a dump for every kept
-    curve; zero_shot's held-out half depends on the run's seed, so there each
+    the dataset named by the manifest; anomaly-free curves are recorded as
+    exclusions, as ``run`` records them, and per-curve problems (truncated,
+    non-finite or missing dumps) as failures. Under naive and all_in_one
+    every detector directory must hold a dump for every kept curve;
+    zero_shot's held-out half depends on the run's seed, so there each
     detector must hold the curves any detector of that schema dumped.
     """
-    series, manifest = load_dataset(dataset_root)
-    kept, _excluded = filter_anomaly_free(series)
-    series_by_id = {s.id: s for s in kept}
-    labels_by_id = {s.id: CurveLabels(s.test_labels()) for s in kept}
     k_delay_overrides = dict(k_delay_overrides or {})
     report = RunReport(
         config_echo={
@@ -463,9 +441,10 @@ def evaluate_scores(
             "k_delay_overrides": k_delay_overrides,
         }
     )
-    ds_dir = os.path.join(scores_root, manifest.name)
+    ctx = _dataset_context(report, dataset_root, criteria, k_delay_overrides)
+    ds_dir = os.path.join(scores_root, ctx.name)
     if not os.path.isdir(ds_dir):
-        raise DatasetError(f"no score dumps for dataset {manifest.name!r} under {scores_root}")
+        raise DatasetError(f"no score dumps for dataset {ctx.name!r} under {scores_root}")
     for schema in sorted(os.listdir(ds_dir)):
         schema_dir = os.path.join(ds_dir, schema)
         if not os.path.isdir(schema_dir):
@@ -475,30 +454,27 @@ def evaluate_scores(
             det_dir = os.path.join(schema_dir, detector)
             if os.path.isdir(det_dir):
                 names = (f[: -len(".csv")] for f in sorted(os.listdir(det_dir)) if f.endswith(".csv"))
-                dumped[detector] = [c for c in names if c in series_by_id]
+                dumped[detector] = [c for c in names if c in ctx.series_by_id]
         if schema in ("naive", "all_in_one"):
-            expected = set(series_by_id)
+            expected = set(ctx.series_by_id)
         else:
             expected = set().union(*dumped.values())
         for detector, curves in dumped.items():
             det_dir = os.path.join(schema_dir, detector)
             for curve in sorted(expected.difference(curves)):
                 missing = DatasetError(f"no score dump {os.path.join(det_dir, curve)}.csv")
-                report.failures.append(_failure(manifest.name, schema, detector, [curve], missing))
+                report.failures.append(_failure(ctx.name, schema, detector, [curve], missing))
             for curve in curves:
-                series_obj = series_by_id[curve]
+                series_obj = ctx.series_by_id[curve]
                 path = os.path.join(det_dir, f"{curve}.csv")
                 try:
                     arr = read_score_dump(path, series_obj.test_start)
                     scored = ScoreSeries(series_id=curve, scores=arr)
                     validate_scores(scored, series_obj)
                 except TsadError as exc:
-                    report.failures.append(_failure(manifest.name, schema, detector, [curve], exc))
+                    report.failures.append(_failure(ctx.name, schema, detector, [curve], exc))
                     continue
-                _evaluate_into(
-                    report, criteria, k_delay_overrides, manifest, schema, detector, curve,
-                    scored.scores, labels_by_id[curve],
-                )
+                _evaluate_into(report, ctx, schema, detector, curve, scored.scores)
     return report
 
 

@@ -277,6 +277,15 @@ def read_score_dump(path: str, test_start: int) -> np.ndarray:
     return np.array(_parse_score_dump(path, test_start), dtype=np.float64)
 
 
+def write_score_dump(path: str, test_start: int, scores: np.ndarray) -> None:
+    """One row per score: its index, counted from test_start, and its ``repr``."""
+    with atomic_open(path) as fh:
+        fh.write(DUMP_HEADER + "\n")
+        for lo in range(0, len(scores), CHUNK_ROWS):
+            chunk = scores[lo : lo + CHUNK_ROWS].tolist()
+            fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(chunk, test_start + lo)]))
+
+
 def _resolve_split(curve: CurveSpec, manifest: DatasetManifest, n: int) -> SplitSpec:
     if curve.has_predefined_split:
         return SplitSpec(curve.train_end, curve.valid_end, source="predefined")
@@ -426,18 +435,14 @@ def import_generic_csv(
     write_curve_csv(dst_path, values, labels)
 
 
-def resolve_k_delay(
-    overrides: Mapping[str, int | None],
-    dataset_name: str,
-    manifest: DatasetManifest,
-    criterion_k: int | None,
-) -> int | None:
+def resolve_k_delay(overrides: Mapping[str, int | None], manifest: DatasetManifest,
+                    criterion_k: int | None) -> int | None:
     """Effective latency limit: run override > manifest default > criterion.
 
     An override explicitly set to None disables the manifest default.
     """
-    if dataset_name in overrides:
-        return overrides[dataset_name]
+    if manifest.name in overrides:
+        return overrides[manifest.name]
     if manifest.k_delay is not None:
         return manifest.k_delay
     return criterion_k

@@ -433,13 +433,12 @@ class ProlongedSegments:
     """The prolonged segments of a curve of n points and the label-only
     inputs of both sweeps, computed on first use: the loop's segment mask;
     the numpy sweep's per-segment bounds (per K), in-segment mask and its
-    prefix sums, and segment weights (per variant)."""
+    prefix sums."""
 
     def __init__(self, segments: Sequence[ExtendedSegment], n: int):
         self.segments = segments
         self.n = n
         self._bounds: dict[int | None, np.ndarray] = {}
-        self._weights: dict[str, np.ndarray] = {}
 
     @_lazy
     def mask(self) -> bytearray:
@@ -475,30 +474,11 @@ class ProlongedSegments:
         self.in_seg.cumsum(dtype=np.int32, out=before[1:])
         return _read_only(before)
 
-    def weights(self, variant: str) -> np.ndarray:
-        """Per segment: its extended length (point-wise), its original
-        length's scaled weight (reduced-length) or 1 (event-wise)."""
-        found = self._weights.get(variant)
-        if found is None:
-            bounds = self.bounds(None)
-            if variant == "point_wise_pa":
-                found = bounds[:, 2] - bounds[:, 0]
-            elif variant == "reduced_length_pa":
-                found = _scaled_weights(self.n + 1)[1][bounds[:, 3] - bounds[:, 0]]
-            else:
-                found = np.ones(len(bounds), dtype=np.intp)
-            self._weights[variant] = found = _read_only(found)
-        return found
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """array, made read-only: every sweep on the curve shares it."""
     array.flags.writeable = False
     return array
-
-
-def _prolonged(segments, n: int) -> ProlongedSegments:
-    return segments if isinstance(segments, ProlongedSegments) else ProlongedSegments(segments, n)
 
 
 def _descending_order(ranked: RankedScores):
@@ -529,7 +509,7 @@ def _previous_later(rank: np.ndarray) -> np.ndarray:
     return cur - 1
 
 
-def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
+def _sweep_loop(ranked: RankedScores, segments: ProlongedSegments, criterion: EvalCriterion):
     """The sweep as a loop over the tie groups of ``ranked.order``.
 
     A segment passes every threshold up to its peak and then weighs its
@@ -542,7 +522,6 @@ def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
     per threshold.
     """
     scores, order, n = ranked.values, ranked.order, ranked.n
-    segments = _prolonged(segments, n)
     point_wise = criterion.variant == "point_wise_pa"
     weighted = criterion.variant == "reduced_length_pa"
     run_w = _scaled_weights(n + 1)[0] if weighted else [1] * (n + 1)
@@ -609,7 +588,7 @@ def _sweep_loop(ranked: RankedScores, segments, criterion: EvalCriterion):
     return thresholds, tps, fps, fns, total_w * unit
 
 
-def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
+def _sweep_numpy(ranked: RankedScores, segments: ProlongedSegments, criterion: EvalCriterion):
     """The sweep as array operations, equal to ``_sweep_loop`` bit for bit.
 
     A segment passes every threshold up to its peak, so ``searchsorted`` on
@@ -617,14 +596,19 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     event sweep's point adds the clean run it completes and removes those it
     joins. Sums are read at tie group ends, exact before their one rounding.
     """
-    segments = _prolonged(segments, ranked.n)
     ends, thresholds = ranked.ties
     bounds = segments.bounds(criterion.k_delay)
     padded = np.append(ranked.array, -math.inf)  # a peak window may end at n
     peaks = np.maximum.reduceat(padded, bounds[:, :2].ravel())[::2]
     in_seg = segments.in_seg
     weighted = criterion.variant == "reduced_length_pa"
-    weights = segments.weights(criterion.variant)
+    if criterion.variant == "point_wise_pa":
+        weights = bounds[:, 2] - bounds[:, 0]
+    elif weighted:
+        table = _scaled_weights(ranked.n + 1)[1]
+        weights = table[bounds[:, 3] - bounds[:, 0]]
+    else:
+        weights = np.ones(len(bounds), dtype=np.intp)
     up = np.argsort(peaks)
     missed = np.searchsorted(peaks[up], thresholds)  # segments peaking below t
     tps = _sums(weights[up[::-1]], len(peaks) - missed, weighted)
@@ -640,7 +624,6 @@ def _sweep_numpy(ranked: RankedScores, segments, criterion: EvalCriterion):
     right = (p + 1 < hi) & (after_p == at_hi)  # so was (p, hi)
     merged = at_lo == at_hi  # [lo, hi) is one
     if weighted:
-        table = _scaled_weights(ranked.n + 1)[1]
         terms = merged * table[hi - lo] - left * table[p - lo] - right * table[hi - p - 1]
     else:
         terms = 1 * merged - left - right

@@ -189,6 +189,24 @@ class TestRun:
         )
         assert {r.k_delay for r in report.rows} == {None}
 
+    def test_k_delay_resolved_per_dataset(self, small_dataset, tmp_path):
+        configs = [
+            SynthConfig(id="c0", length=300, seed=3,
+                        anomalies=(AnomalySpec(kind="global", count=1),)),
+        ]
+        root = str(tmp_path / "dsk")
+        generate_dataset(configs, root, name="kd", k_delay=7)
+        criteria = (EvalCriterion("event_wise_pa", k_delay=2), EvalCriterion("point_wise_pa"))
+        config = base_config(small_dataset, datasets=(small_dataset, root), criteria=criteria)
+        report = bench.run(config, str(tmp_path / "out"))
+        k_delays = {(r.dataset, r.criterion, r.k_delay) for r in report.rows}
+        assert k_delays == {
+            ("mini", "event_wise_pa_K2_L9", 2),
+            ("mini", "point_wise_pa_L9", None),
+            ("kd", "event_wise_pa_K2_L9", 7),
+            ("kd", "point_wise_pa_L9", 7),
+        }
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_results_json(self, small_dataset, tmp_path):
@@ -258,6 +276,23 @@ class TestEvaluateScores:
         again = bench.evaluate_scores(str(out / "scores"), small_dataset, config.criteria)
         errors = {(f["detector"], f["curves"][0]): f["error"] for f in again.failures}
         assert errors[("ar", "c1")] == "NonFiniteScore"
+
+
+    def test_anomaly_free_curve_recorded_as_exclusion(self, tmp_path):
+        configs = [
+            SynthConfig(id="with", length=300, seed=1,
+                        anomalies=(AnomalySpec(kind="global", count=1),)),
+            SynthConfig(id="without", length=300, seed=2),
+        ]
+        root = str(tmp_path / "ds2")
+        generate_dataset(configs, root, name="gaps")
+        out = tmp_path / "out"
+        config = base_config(root)
+        report = bench.run(config, str(out))
+        again = bench.evaluate_scores(str(out / "scores"), root, config.criteria)
+        expected = [{"dataset": "gaps", "curve": "without", "reason": bench.EXCLUDED_ANOMALY_FREE}]
+        assert report.exclusions == again.exclusions == expected
+        assert not again.failures
 
 
 class TestAggregateOrder:

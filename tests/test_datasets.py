@@ -438,17 +438,17 @@ class TestResolveKDelay:
 
     def test_manifest_beats_criterion(self, tmp_path):
         manifest = self._manifest(tmp_path, k_delay=10)
-        assert resolve_k_delay({}, "fix", manifest, 3) == 10
+        assert resolve_k_delay({}, manifest, 3) == 10
 
     def test_override_beats_manifest(self, tmp_path):
         manifest = self._manifest(tmp_path, k_delay=10)
-        assert resolve_k_delay({"fix": 50}, "fix", manifest, 3) == 50
+        assert resolve_k_delay({"fix": 50}, manifest, 3) == 50
 
     def test_null_override_disables(self, tmp_path):
         manifest = self._manifest(tmp_path, k_delay=10)
-        assert resolve_k_delay({"fix": None}, "fix", manifest, 3) is None
+        assert resolve_k_delay({"fix": None}, manifest, 3) is None
 
     def test_criterion_used_when_nothing_else(self, tmp_path):
         manifest = self._manifest(tmp_path)
-        assert resolve_k_delay({}, "fix", manifest, 3) == 3
-        assert resolve_k_delay({}, "fix", manifest, None) is None
+        assert resolve_k_delay({}, manifest, 3) == 3
+        assert resolve_k_delay({}, manifest, None) is None

@@ -52,7 +52,7 @@ def _same_bits(a, b):
 
 def _both_paths(scores, labels, criterion):
     ranked = RankedScores(scores)
-    segments = prolong_segments(extract_segments(labels), criterion.prolong_len, len(scores))
+    segments = CurveLabels(labels).prolonged(criterion.prolong_len)
     slow = metrics._sweep_loop(ranked, segments, criterion)
     fast = metrics._sweep_numpy(ranked, segments, criterion)
     return slow, fast
