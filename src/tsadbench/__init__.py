@@ -3,7 +3,6 @@ univariate time-series anomaly detection."""
 
 from .core import (
     AnomalySegment,
-    ScoreSeries,
     SplitSpec,
     TimeSeries,
     extract_segments,

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import detectors as det
-from .core import ScoreSeries, TimeSeries, validate_scores
+from .core import TimeSeries, validate_scores
 from .datasets import (
     atomic_open, filter_anomaly_free, load_dataset, read_score_dump, resolve_k_delay, write_json,
     write_score_dump,
@@ -256,9 +256,7 @@ def _run_builtin_task(
         t1 = time.perf_counter()
         arr = det.score(fitted, context, test)
         inference += time.perf_counter() - t1
-        scored = ScoreSeries(series_id=sid, scores=arr)
-        validate_scores(scored, series)
-        scores.append((sid, scored.scores))
+        scores.append((sid, validate_scores(series, arr)))
         samples += len(test)
     stat = RuntimeStat(
         fit_seconds, inference, samples, fitted.count_parameters(), fitted.store_size
@@ -275,8 +273,8 @@ def _run_external_task(
     results = drive(spec, task, series_by_id)
     elapsed = time.perf_counter() - t0
     # external processes are timed end to end, so all of it is inference
-    stat = RuntimeStat(inference_seconds=elapsed, scored_samples=sum(len(r) for r in results))
-    return [(r.series_id, r.scores) for r in results], stat
+    stat = RuntimeStat(inference_seconds=elapsed, scored_samples=sum(len(a) for _, a in results))
+    return results, stat
 
 
 def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: str,
@@ -465,16 +463,14 @@ def evaluate_scores(
                 missing = DatasetError(f"no score dump {os.path.join(det_dir, curve)}.csv")
                 report.failures.append(_failure(ctx.name, schema, detector, [curve], missing))
             for curve in curves:
-                series_obj = ctx.series_by_id[curve]
+                series = ctx.series_by_id[curve]
                 path = os.path.join(det_dir, f"{curve}.csv")
                 try:
-                    arr = read_score_dump(path, series_obj.test_start)
-                    scored = ScoreSeries(series_id=curve, scores=arr)
-                    validate_scores(scored, series_obj)
+                    scores = validate_scores(series, read_score_dump(path, series.test_start))
                 except TsadError as exc:
                     report.failures.append(_failure(ctx.name, schema, detector, [curve], exc))
                     continue
-                _evaluate_into(report, ctx, schema, detector, curve, scored.scores)
+                _evaluate_into(report, ctx, schema, detector, curve, scores)
     return report
 
 

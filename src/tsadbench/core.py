@@ -8,7 +8,7 @@ operation here is pure, so they are safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,21 +130,6 @@ class AnomalySegment:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
-    """Anomaly scores aligned one-to-one with a series' test region."""
-
-    series_id: str
-    scores: np.ndarray = field(compare=False)
-
-    def __init__(self, series_id: str, scores: Sequence[float]):
-        object.__setattr__(self, "series_id", series_id)
-        object.__setattr__(self, "scores", _frozen_array(scores, np.float64))
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
 def extract_segments(labels: Sequence[int]) -> list[AnomalySegment]:
     """Maximal runs of 1s in a {0,1} mask, sorted by position."""
     arr = np.asarray(labels, dtype=np.int64)
@@ -188,17 +173,19 @@ def split_series(n: int, ratio: tuple[int, int, int] = DEFAULT_RATIO) -> SplitSp
     return SplitSpec(train_end=train_end, valid_end=valid_end, source="ratio")
 
 
-def validate_scores(scores: ScoreSeries, series: TimeSeries) -> None:
-    """Check a score array covers the series' test region with finite values.
+def validate_scores(series: TimeSeries, scores: Sequence[float]) -> np.ndarray:
+    """The scores as the read-only float64 array that is dumped and evaluated.
 
     Raises LengthMismatch or NonFiniteScore; callers abort the curve's
     evaluation and record the error in the run report.
     """
+    arr = _frozen_array(scores, np.float64)
     expected = series.test_length
-    if len(scores) != expected:
+    if len(arr) != expected:
         raise LengthMismatch(
-            f"series {series.id!r}: {len(scores)} scores for test length {expected}"
+            f"series {series.id!r}: {len(arr)} scores for test length {expected}"
         )
-    if not np.isfinite(scores.scores).all():
-        bad = int(np.flatnonzero(~np.isfinite(scores.scores))[0])
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NonFiniteScore(f"series {series.id!r}: non-finite score at {bad}")
+    return arr

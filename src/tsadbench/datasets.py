@@ -46,7 +46,7 @@ import numpy as np
 from .core import DEFAULT_RATIO, SplitSpec, TimeSeries, split_series
 from .errors import (
     ConfigError, DatasetError, InvariantViolation, MissingManifest, ParseError, from_fields,
-    require_int,
+    require_int, require_name,
 )
 
 CURVE_HEADER = "index,value,label"
@@ -110,12 +110,12 @@ class CurveSpec:
     valid_end: int | None = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name in ("id", "file"):
-                if not isinstance(value, str):
-                    raise ConfigError(f"curve {name} must be a string, got {value!r}")
-            elif value is not None:
-                require_int(name, value, 0)
+        require_name("curve id", self.id)
+        if not isinstance(self.file, str):
+            raise ConfigError(f"curve file must be a string, got {self.file!r}")
+        for name in ("train_end", "valid_end"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name), 0)
 
     @property
     def has_predefined_split(self) -> bool:
@@ -133,8 +133,7 @@ class DatasetManifest:
     k_delay: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ConfigError(f"dataset name must be a string, got {self.name!r}")
+        require_name("dataset name", self.name)
         split = self.default_split
         if split != "predefined":
             parts = split.get("ratio") if isinstance(split, Mapping) and len(split) == 1 else None
@@ -215,9 +214,8 @@ def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
 def _bulk_rows(path: str, header: str, rows: np.dtype, first: int):
     """The data rows of the file at path, read by numpy's C reader into the
     structured dtype ``rows``; or None, leaving the file to the line loop,
-    if it has another header or no data row, or has a row numpy rejects,
-    an ``index`` column other than first, first + 1, ..., or a non-finite
-    ``value``."""
+    if it has another header or no data row, or has a row numpy rejects or
+    an ``index`` column other than first, first + 1, ..."""
     with open(path, encoding="utf-8") as fh:
         try:
             # numpy warns on a file without data rows; the loop rejects it
@@ -231,7 +229,7 @@ def _bulk_rows(path: str, header: str, rows: np.dtype, first: int):
     except ValueError:
         return None
     index = table["index"]
-    if (index == np.arange(first, first + len(index))).all() and np.isfinite(table["value"]).all():
+    if (index == np.arange(first, first + len(index))).all():
         return table
     return None
 
@@ -241,7 +239,7 @@ def _read_curve_file(path: str) -> tuple[Sequence[float], Sequence[int]]:
     table = _bulk_rows(path, CURVE_HEADER, _CURVE_ROWS, 0)
     if table is not None:
         ones = table["label"] == "1"
-        if (ones | (table["label"] == "0")).all():
+        if np.isfinite(table["value"]).all() and (ones | (table["label"] == "0")).all():
             return table["value"], ones.astype(np.int64)
     return _parse_curve_file(path)
 
@@ -270,7 +268,7 @@ def _parse_score_dump(path: str, test_start: int) -> list[float]:
 
 def read_score_dump(path: str, test_start: int) -> np.ndarray:
     """Scores of one dump, whose index column must run test_start,
-    test_start + 1, ..."""
+    test_start + 1, ...; a non-finite score is left to ``validate_scores``."""
     table = _bulk_rows(path, DUMP_HEADER, _DUMP_ROWS, test_start)
     if table is not None:
         return table["value"]

@@ -30,6 +30,7 @@ from .errors import (
     InsufficientTrainingData,
     LengthMismatch,
     require_int,
+    require_name,
     require_number,
 )
 
@@ -58,10 +59,9 @@ class DetectorConfig:
         require_int("window", self.window)
         require_int("neighbors", self.neighbors, 1)
         require_number("ridge", self.ridge)
-        if self.name is not None and not isinstance(self.name, str):
-            raise ConfigError(f"detector name must be a string, got {self.name!r}")
-        if not self.name:
+        if self.name in (None, ""):
             object.__setattr__(self, "name", self.kind)
+        require_name("detector name", self.name)
         if self.kind == "ar" and self.window < 1:
             raise ConfigError("ar needs window >= 1")
         if self.kind in ("sub_lof", "matrix_profile") and self.window < 2:

@@ -4,15 +4,17 @@ Errors split into three families so the CLI can map them to exit codes:
 configuration problems (exit 1), dataset problems (exit 2), and per-task
 failures that are recorded in the run report without aborting the run.
 Every config document is read by ``from_fields``, and the config
-dataclasses check their value types with ``require_int`` and
-``require_number``, so an unknown key, a missing field or a wrongly typed
-value is a ConfigError too.
+dataclasses check their value types with ``require_int``,
+``require_number`` and ``require_name`` (a name that becomes a file name),
+so an unknown key, a missing field or a wrongly typed value is a
+ConfigError too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
+import os
 from typing import Callable, Mapping
 
 
@@ -31,6 +33,15 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def require_name(what: str, value) -> None:
+    """ConfigError unless value is a string that names one file in a
+    directory: not empty, "." or "..", and without a path separator or NUL."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    if value in ("", ".", "..") or any(c and c in value for c in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{what} {value!r} is not a plain file name")
 
 
 def require_number(name: str, value) -> None:

@@ -29,13 +29,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
-from .core import ScoreSeries, TimeSeries, validate_scores
+import numpy as np
+
+from .core import TimeSeries, validate_scores
 from .errors import (
     ConfigError,
     ExternalTimeout,
     NonZeroExit,
     ProtocolError,
     TsadError,
+    require_name,
     require_number,
 )
 from .schemas import Task
@@ -66,8 +69,7 @@ class ExternalDetectorSpec:
                 f"external detector command must be a list of strings, got {command!r}"
             )
         object.__setattr__(self, "command", tuple(command))
-        if not isinstance(self.name, str):
-            raise ConfigError(f"external detector name must be a string, got {self.name!r}")
+        require_name("external detector name", self.name)
         require_number("startup_timeout", self.startup_timeout)
         require_number("message_timeout", self.message_timeout)
         if self.startup_timeout <= 0 or self.message_timeout <= 0:
@@ -182,13 +184,14 @@ def drive(
     spec: ExternalDetectorSpec,
     task: Task,
     series_by_id: Mapping[str, TimeSeries],
-) -> list[ScoreSeries]:
+) -> list[tuple[str, np.ndarray]]:
     """Run one task through an external detector process.
 
     Fits once on the task's training pools, then scores every eval target
-    (context = the series' history before its test region). The process is
-    always reaped, successful or not; on failure the captured stderr tail
-    is appended to the error for the run report's failure log.
+    (context = the series' history before its test region); returns each
+    target's id with its scores as ``validate_scores`` returns them. The
+    process is always reaped, successful or not; on failure the captured
+    stderr tail is appended to the error for the run report's failure log.
     """
     proc = _Process(spec.command)
     try:
@@ -208,7 +211,7 @@ def _exchange(
     task: Task,
     series_by_id: Mapping[str, TimeSeries],
     proc: _Process,
-) -> list[ScoreSeries]:
+) -> list[tuple[str, np.ndarray]]:
     proc.send({"type": "hello", "protocol": PROTOCOL_VERSION})
     hello = _expect(proc.recv(spec.startup_timeout), "hello")
     if hello.get("protocol") != PROTOCOL_VERSION:
@@ -236,13 +239,10 @@ def _exchange(
         if reply.get("id") != sid:
             raise ProtocolError(f"scores for {reply.get('id')!r}, expected {sid!r}")
         raw = reply.get("scores")
-        if not isinstance(raw, list) or not all(
-            isinstance(v, (int, float)) for v in raw
-        ):
+        # json.loads makes exact ints and floats; true and false are bools
+        if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
             raise ProtocolError("scores must be a list of numbers")
-        scored = ScoreSeries(series_id=sid, scores=raw)
-        validate_scores(scored, series)
-        results.append(scored)
+        results.append((sid, validate_scores(series, raw)))
 
     proc.shutdown(spec.message_timeout)
     return results

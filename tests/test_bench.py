@@ -277,6 +277,18 @@ class TestEvaluateScores:
         errors = {(f["detector"], f["curves"][0]): f["error"] for f in again.failures}
         assert errors[("ar", "c1")] == "NonFiniteScore"
 
+    def test_infinite_dump_recorded_as_failure(self, small_dataset, tmp_path):
+        out = tmp_path / "out"
+        config = base_config(small_dataset)
+        bench.run(config, str(out))
+        dump = out / "scores" / "mini" / "naive" / "first_diff" / "c2.csv"
+        lines = dump.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",-1e400"
+        dump.write_text("\n".join(lines) + "\n")
+        again = bench.evaluate_scores(str(out / "scores"), small_dataset, config.criteria)
+        failures = {(f["detector"], f["curves"][0]): f for f in again.failures}
+        assert failures[("first_diff", "c2")]["error"] == "NonFiniteScore"
+        assert failures[("first_diff", "c2")]["message"].endswith("non-finite score at 4")
 
     def test_anomaly_free_curve_recorded_as_exclusion(self, tmp_path):
         configs = [
@@ -361,6 +373,28 @@ class TestEmitReports:
             samples = int(row["scored_samples"])
             per = float(row["per_sample_seconds"])
             assert per == pytest.approx(total / samples, rel=1e-6)
+
+    def test_runtime_csv_counts_external_samples(self, tmp_path, small_dataset):
+        # 4 curves, each with a 150-point test region
+        out = tmp_path / "out"
+        external = ExternalDetectorSpec(
+            command=(sys.executable, str(STUB_DIR / "stub_ok.py")), name="zeros",
+            startup_timeout=10.0, message_timeout=10.0,
+        )
+        config = base_config(
+            small_dataset, detectors=(DetectorConfig(kind="first_diff"), external)
+        )
+        report = bench.run(config, str(out))
+        assert not report.failures
+        bench.emit_reports(report, str(out))
+        lines = (out / "runtime.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = {r["detector"]: r for r in (dict(zip(header, ln.split(","))) for ln in lines[1:])}
+        assert sorted(rows) == ["first_diff", "zeros"]
+        for row in rows.values():
+            assert int(row["scored_samples"]) == 600
+            per = float(row["per_sample_seconds"])
+            assert per == pytest.approx(float(row["inference_seconds"]) / 600, rel=1e-6)
 
     def test_tradeoff_cube_root_size(self, tmp_path, small_dataset):
         out = tmp_path / "out"
@@ -506,6 +540,27 @@ class TestCli:
             ],
         )
         assert cli_main(["run", "-c", config, "-o", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["climbing", "absolute"])
+    def test_names_with_a_path_write_nothing(self, small_dataset, tmp_path, capsys, absolute):
+        # An absolute dataset name and a detector named ../../../outside_det
+        # once made `run` write c0.csv two levels above its output directory.
+        manifest = os.path.join(small_dataset, "manifest.json")
+        doc = json.loads(open(manifest).read())
+        doc["name"] = str(tmp_path / "abs" / "ds")
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        name = str(tmp_path / "outside_det") if absolute else "../../../outside_det"
+        config = self._write_config(tmp_path, small_dataset,
+                                    detectors=[{"kind": "first_diff", "name": name}])
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 1
+        assert "is not a plain file name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        # the dataset name alone is a dataset error
+        config = self._write_config(tmp_path, small_dataset)
+        assert cli_main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_usage_error_maps_to_config_exit(self):
         assert cli_main(["run", "--nonsense"]) == 1

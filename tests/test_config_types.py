@@ -66,6 +66,11 @@ RUN_CASES = {
     "neighbors-bool": {"detectors": [{"kind": "sub_lof", "neighbors": True}]},
     "ridge-str": {"detectors": [{"kind": "ar", "ridge": "0.1"}]},
     "name-int": {"detectors": [{"kind": "ar", "name": 7}]},
+    "name-parent": {"detectors": [{"kind": "ar", "name": "../../../outside_det"}]},
+    "name-nested": {"detectors": [{"kind": "ar", "name": "ar/8"}]},
+    "name-dot": {"detectors": [{"kind": "ar", "name": "."}]},
+    "external-name-parent": {"detectors": [{"kind": "external", "command": ["x"],
+                                            "name": "../outside_det"}]},
     "timeout-str": {"detectors": [{"kind": "external", "command": ["x"],
                                    "startup_timeout": "5"}]},
     "timeout-bool": {"detectors": [{"kind": "external", "command": ["x"],
@@ -124,6 +129,8 @@ GEN_CASES = {
     "k-delay-str": {"k_delay": "3", "curves": [_curve()]},
     "k-delay-negative": {"k_delay": -1, "curves": [_curve()]},
     "name-int": {"name": 5, "curves": [_curve()]},
+    "name-parent": {"name": "../outside_ds", "curves": [_curve()]},
+    "id-parent": {"curves": [_curve(id="../x")]},
 }
 
 

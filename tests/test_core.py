@@ -1,10 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsadbench.core import (
     AnomalySegment,
-    ScoreSeries,
     SplitSpec,
     TimeSeries,
     extract_segments,
@@ -100,19 +100,32 @@ class TestTimeSeries:
 class TestValidateScores:
     def test_ok(self, make_series):
         ts = make_series([0.0] * 100, [0] * 99 + [1], train_end=40, valid_end=50)
-        validate_scores(ScoreSeries("s0", [0.0] * 50), ts)
+        validate_scores(ts, [0.0] * 50)
+
+    @pytest.mark.parametrize(
+        "scores", [[0, 1.5] * 25, np.arange(50, dtype=np.int64), np.linspace(0, 1, 100)[::2]],
+        ids=["list", "int-array", "strided-array"],
+    )
+    def test_returns_read_only_float64(self, make_series, scores):
+        ts = make_series([0.0] * 100, [0] * 99 + [1], train_end=40, valid_end=50)
+        arr = validate_scores(ts, scores)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+        assert arr.tolist() == [float(v) for v in scores]
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
     def test_length_mismatch(self, make_series):
         ts = make_series([0.0] * 100, [0] * 99 + [1], train_end=40, valid_end=50)
-        with pytest.raises(LengthMismatch):
-            validate_scores(ScoreSeries("s0", [0.0] * 49), ts)
+        with pytest.raises(LengthMismatch, match="49 scores for test length 50"):
+            validate_scores(ts, [0.0] * 49)
 
     def test_non_finite(self, make_series):
         ts = make_series([0.0] * 100, [0] * 99 + [1], train_end=40, valid_end=50)
         scores = [0.0] * 50
         scores[7] = float("nan")
-        with pytest.raises(NonFiniteScore):
-            validate_scores(ScoreSeries("s0", scores), ts)
+        with pytest.raises(NonFiniteScore, match="non-finite score at 7"):
+            validate_scores(ts, scores)
 
 
 def test_segment_invariants():

@@ -148,6 +148,12 @@ MANIFEST_CASES = {
     "id-int": ({"curves": [_entry(id=3)]}, "curve id must be a string, got 3"),
     "file-int": ({"curves": [_entry(file=5)]}, "curve file must be a string, got 5"),
     "name-int": ({"name": 7}, "dataset name must be a string, got 7"),
+    # names and ids become directories and files of the score dumps
+    "name-absolute": ({"name": "/outside_ds"}, "dataset name '/outside_ds' is not a plain file"),
+    "name-dotdot": ({"name": ".."}, "dataset name '..' is not a plain file name"),
+    "id-parent": ({"curves": [_entry(id="../x")]}, "curve id '../x' is not a plain file name"),
+    "id-empty": ({"curves": [_entry(id="")]}, "curve id '' is not a plain file name"),
+    "id-nul": ({"curves": [_entry(id="a\0b")]}, "curve id 'a\\x00b' is not a plain file name"),
     "unknown-key": ({"k_dealy": 3}, "unknown manifest fields ['k_dealy']"),
     "curve-unknown-key": ({"curves": [_entry(trian_end=3)]},
                           "unknown curve entry fields ['trian_end']"),
@@ -277,7 +283,9 @@ DUMP_CASES = {
     "header-only": ("index,score\n", False),
     "bad-header": ("index,value\n200,0.5\n", False),
     "negative-zero": ("index,score\n200,-0.0\n201,0.0\n", True),
-    "infinite": ("index,score\n200,1e400\n", False),
+    # non-finite scores are read by numpy and left to validate_scores
+    "infinite": ("index,score\n200,1e400\n", True),
+    "nan": ("index,score\n200,0.5\n201,nan\n", True),
     # past numpy's 50,000-row read chunk, with a gap after row 50,000
     "gap-after-chunk": (
         "index,score\n" + "".join(f"{DUMP_START + j + (j >= 50_001)},{j / 7!r}\n"

@@ -1,6 +1,7 @@
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import STUB_DIR
@@ -42,9 +43,11 @@ class TestDrive:
     def test_zero_stub_accepted(self, task_and_series):
         task, by_id = task_and_series
         results = drive(stub_spec("stub_ok.py"), task, by_id)
-        assert len(results) == 1
-        assert results[0].series_id == "s0"
-        assert results[0].scores.tolist() == [0.0] * 10
+        assert [sid for sid, _ in results] == ["s0"]
+        scores = results[0][1]
+        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+        assert not scores.flags.writeable
+        assert scores.tolist() == [0.0] * 10
 
     def test_short_scores_raise_length_mismatch(self, task_and_series):
         task, by_id = task_and_series
@@ -70,12 +73,17 @@ class TestDrive:
     def test_stderr_is_not_protocol_data(self, task_and_series):
         task, by_id = task_and_series
         results = drive(stub_spec("stub_noisy_stderr.py"), task, by_id)
-        assert results[0].scores.tolist() == [0.5] * 10
+        assert [(sid, scores.tolist()) for sid, scores in results] == [("s0", [0.5] * 10)]
 
     def test_stderr_tail_attached_to_failure(self, task_and_series):
         task, by_id = task_and_series
         with pytest.raises(NonZeroExit, match="model exploded"):
             drive(stub_spec("stub_die_loud.py"), task, by_id)
+
+    def test_boolean_scores_raise_protocol_error(self, task_and_series):
+        task, by_id = task_and_series
+        with pytest.raises(ProtocolError, match="list of numbers"):
+            drive(stub_spec("stub_bool.py"), task, by_id)
 
     def test_unspawnable_command(self, task_and_series):
         task, by_id = task_and_series

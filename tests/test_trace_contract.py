@@ -74,6 +74,25 @@ def test_run_spans_cover_every_layer(traced_run):
         assert spans[name] >= 1, name
 
 
+def test_external_run_spans_cover_every_task(traced_run):
+    tmp_path, root, _out, _spans = traced_run
+    config = tmp_path / "external.json"
+    config.write_text(json.dumps({
+        "datasets": [root],
+        "detectors": [{"kind": "external", "name": "zeros",
+                       "command": [sys.executable, str(ROOT / "tests" / "stubs" / "stub_ok.py")]}],
+        "schemas": ["naive", "all_in_one"],
+        "criteria": [{"variant": "event_wise_pa"}],
+    }))
+    out = tmp_path / "external"
+    spans = _traced(tmp_path, "external", "run", "-c", str(config), "-o", str(out))
+    # naive runs one task per curve, all_in_one one task for the dataset
+    assert spans["extern.drive"] == 3 + 1
+    assert spans["core.validate"] == 0  # extern validates inside its exchange
+    assert spans["metrics.evaluate"] == _metric_rows(out) == _dumps(out / "scores") == 2 * 3
+    assert spans["detectors.fit"] == spans["detectors.score"] == 0
+
+
 def test_eval_spans_cover_every_layer(traced_run):
     tmp_path, root, out, _spans = traced_run
     out2 = tmp_path / "eval"
