@@ -300,6 +300,9 @@ def _dataset_context(report: RunReport, root: str, criteria: Sequence[EvalCriter
                      k_delay_overrides: Mapping[str, int | None]) -> DatasetContext:
     """The context of the dataset under root; each curve without an anomaly
     in its test region is recorded in report as an exclusion."""
+    labels = [c.label for c in criteria]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"each criterion must be listed once, got {labels}")
     series, manifest = load_dataset(root)
     kept, excluded = filter_anomaly_free(series)
     for cid in excluded:

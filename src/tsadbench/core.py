@@ -132,17 +132,20 @@ class AnomalySegment:
 
 def extract_segments(labels: Sequence[int]) -> list[AnomalySegment]:
     """Maximal runs of 1s in a {0,1} mask, sorted by position."""
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.size == 0:
-        return []
-    edges = np.flatnonzero(np.diff(arr) != 0) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [arr.size]))
-    return [
-        AnomalySegment(int(s), int(e) - 1)
-        for s, e in zip(starts, ends)
-        if arr[s] == 1
-    ]
+    if isinstance(labels, np.ndarray):
+        labels = labels.tolist()  # a list scans faster than an array
+    segments = []
+    start = None
+    for i, flag in enumerate(labels):
+        if flag == 1:
+            if start is None:
+                start = i
+        elif start is not None:
+            segments.append(AnomalySegment(start, i - 1))
+            start = None
+    if start is not None:
+        segments.append(AnomalySegment(start, len(labels) - 1))
+    return segments
 
 
 def segments_to_mask(segments: Sequence[AnomalySegment], n: int) -> np.ndarray:

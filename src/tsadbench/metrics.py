@@ -191,7 +191,9 @@ def _detect_window_end(seg: ExtendedSegment, k_delay: int | None) -> int:
 
 
 def _segment_mask(segments: Sequence[ExtendedSegment], n: int) -> bytearray:
-    mask = bytearray(n)
+    """1 inside a segment, else 0, at each of the n points and one past (the
+    numpy sweep reads index n)."""
+    mask = bytearray(n + 1)
     for seg in segments:
         mask[seg.start : seg.end + 1] = b"\x01" * (seg.end - seg.start + 1)
     return mask
@@ -205,8 +207,10 @@ def adjust_scores_pa(
     Without a latency limit the propagated value is the maximum raw score
     inside the extended segment. With ``k_delay`` it is the maximum over
     the positions within K of onset, so a segment whose only alarms come
-    too late is treated as missed everywhere.
+    too late is treated as missed everywhere. Raises NonFiniteScore unless
+    every score is finite.
     """
+    _require_finite(scores)
     out = _as_list(scores)[:]
     for seg in segments:
         hi = _detect_window_end(seg, k_delay)
@@ -219,7 +223,9 @@ def detected_within_delay(
     segment: ExtendedSegment, scores, threshold: float, k_delay: int | None = None
 ) -> bool:
     """True iff some raw score >= threshold lands in the extended segment
-    no later than ``k_delay`` points after onset (onset itself is offset 0)."""
+    no later than ``k_delay`` points after onset (onset itself is offset 0).
+    Raises NonFiniteScore unless every score is finite."""
+    _require_finite(scores)
     scores = _as_list(scores)
     hi = _detect_window_end(segment, k_delay)
     return any(scores[p] >= threshold for p in range(segment.start, hi + 1))
@@ -410,12 +416,12 @@ class CurveLabels:
     def __init__(self, labels):
         self.labels = labels
         self.n = len(labels)
-        self.positive = bool(labels.any() if isinstance(labels, np.ndarray) else any(labels))
         self._prolonged: dict[int, ProlongedSegments] = {}
+        self.positive = bool(self.segments)
 
     @_lazy
     def segments(self) -> list[AnomalySegment]:
-        return _segments(self.labels, self.n)
+        return extract_segments(self.labels)
 
     def prolonged(self, prolong_len: int) -> ProlongedSegments:
         found = self._prolonged.get(prolong_len)
@@ -431,9 +437,9 @@ def _labeled(labels) -> CurveLabels:
 
 class ProlongedSegments:
     """The prolonged segments of a curve of n points and the label-only
-    inputs of both sweeps, computed on first use: the loop's segment mask;
-    the numpy sweep's per-segment bounds (per K), in-segment mask and its
-    prefix sums."""
+    inputs of both sweeps, computed on first use: the segment mask (the
+    numpy sweep reads it as ``in_seg``); the numpy sweep's per-segment
+    bounds (per K) and the mask's prefix sums."""
 
     def __init__(self, segments: Sequence[ExtendedSegment], n: int):
         self.segments = segments
@@ -458,13 +464,8 @@ class ProlongedSegments:
 
     @_lazy
     def in_seg(self) -> np.ndarray:
-        """1 inside a segment, else 0, at each of the n points and one past;
-        int8, as the cache lives as long as the curve."""
-        bounds = self.bounds(None)
-        marks = np.zeros(self.n + 1, dtype=np.int8)
-        marks[bounds[:, 0]] += 1
-        marks[bounds[:, 2]] -= 1
-        return _read_only(marks.cumsum(dtype=np.int8))
+        """``mask`` as an int8 array, shared, not copied."""
+        return _read_only(np.frombuffer(self.mask, dtype=np.int8))
 
     @_lazy
     def before(self) -> np.ndarray:
@@ -676,26 +677,6 @@ def _report(sweep, criterion: EvalCriterion) -> MetricReport:
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return MetricReport(*best, area, criterion)
-
-
-def _segments(labels, n: int) -> list[AnomalySegment]:
-    """``extract_segments``; up to SWEEP_CUTOFF points a plain scan is cheaper."""
-    if n > SWEEP_CUTOFF:
-        return extract_segments(labels)
-    if isinstance(labels, np.ndarray):
-        labels = labels.tolist()  # a list scans faster than an array
-    segments = []
-    start = None
-    for i, flag in enumerate(labels):
-        if flag == 1:
-            if start is None:
-                start = i
-        elif start is not None:
-            segments.append(AnomalySegment(start, i - 1))
-            start = None
-    if start is not None:
-        segments.append(AnomalySegment(start, n - 1))
-    return segments
 
 
 def _reports(ranked: RankedScores, labels: CurveLabels,

@@ -17,7 +17,7 @@ No plan ever places a test region in a training pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import TimeSeries
@@ -46,18 +46,7 @@ class BenchmarkPlan:
     seed: int | None = None  # set for zero_shot only
 
     def to_json(self) -> str:
-        doc = {
-            "schema": self.schema,
-            "seed": self.seed,
-            "tasks": [
-                {
-                    "train_refs": [[sid, list(region)] for sid, region in task.train_refs],
-                    "eval_refs": [[sid, list(region)] for sid, region in task.eval_refs],
-                }
-                for task in self.tasks
-            ],
-        }
-        return json_text(doc)
+        return json_text(asdict(self))
 
 
 def _train_ref(series: TimeSeries) -> SeriesRef:

@@ -36,7 +36,9 @@ import numpy as np
 
 from .core import TimeSeries, split_series
 from .datasets import write_dataset
-from .errors import ConfigError, PlanInfeasible, from_fields, require_int, require_number
+from .errors import (
+    ConfigError, PlanInfeasible, from_fields, require_int, require_name, require_number,
+)
 from .rng import SplitMix64
 
 ANOMALY_KINDS = ("global", "contextual", "seasonal", "trend", "shapelet")
@@ -93,8 +95,7 @@ class SynthConfig:
     trend_slope: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ConfigError(f"curve id must be a string, got {self.id!r}")
+        require_name("curve id", self.id)
         require_int("length", self.length, 100)
         require_int("seed", self.seed, 0)
         require_int("contextual_window", self.contextual_window)
@@ -289,8 +290,7 @@ class DatasetPlan:
     k_delay: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ConfigError(f"dataset name must be a string, got {self.name!r}")
+        require_name("dataset name", self.name)
         if self.k_delay is not None:
             require_int("k_delay", self.k_delay, 0)
 

@@ -516,6 +516,26 @@ class TestCli:
         doc = json.loads(open(plan_path).read())
         assert doc["schema"] == "zero_shot" and doc["seed"] == 5
 
+    def test_run_rejects_a_repeated_criterion(self, small_dataset, tmp_path, capsys):
+        criteria = [{"variant": "event_wise_pa"}, {"variant": "event_wise_pa"}]
+        config = self._write_config(tmp_path, small_dataset, criteria=criteria)
+        out = tmp_path / "out"
+        assert cli_main(["run", "-c", config, "-o", str(out)]) == 1
+        assert "each criterion must be listed once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_a_repeated_criterion(self, small_dataset, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli_main(["run", "-c", self._write_config(tmp_path, small_dataset), "-o", out]) == 0
+        out2 = tmp_path / "eval"
+        code = cli_main(
+            ["eval", "-s", os.path.join(out, "scores"), "-d", small_dataset,
+             "--criteria", "event_wise_pa", "event_wise_pa:l=9", "-o", str(out2)]
+        )
+        assert code == 1
+        assert "each criterion must be listed once" in capsys.readouterr().err
+        assert not out2.exists()
+
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import STUB_DIR
-from tsadbench import bench
+from tsadbench import bench, synth
 from tsadbench.cli import main as cli_main
 from tsadbench.detectors import DetectorConfig
 from tsadbench.errors import ConfigError
@@ -137,6 +137,14 @@ GEN_CASES = {
 @pytest.mark.parametrize("doc", GEN_CASES.values(), ids=GEN_CASES.keys())
 def test_gen_rejects_wrong_types(tmp_path, capsys, doc):
     _config_error(tmp_path, capsys, ["gen"], doc)
+
+
+@pytest.mark.parametrize("doc", [GEN_CASES["name-parent"], GEN_CASES["id-parent"]],
+                         ids=["name-parent", "id-parent"])
+def test_gen_document_rejects_a_path_name(doc):
+    # rejected as the document is read, so `gen` generates no curve
+    with pytest.raises(ConfigError, match="is not a plain file name"):
+        synth.dataset_plan_from_json(doc)
 
 
 def test_gen_accepts_integer_valued_numbers(tmp_path):

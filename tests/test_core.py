@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from tsadbench.core import (
     AnomalySegment,
     SplitSpec,
@@ -40,10 +41,21 @@ class TestExtractSegments:
     @settings(max_examples=100)
     def test_round_trip(self, labels):
         segs = extract_segments(labels)
+        assert extract_segments(np.array(labels, dtype=np.int64)) == segs
+        assert [(s.start, s.end) for s in segs] == oracle.find_segments(labels)
         assert segments_to_mask(segs, len(labels)).tolist() == labels
         # maximal runs are sorted and separated by at least one gap
         for a, b in zip(segs, segs[1:]):
             assert b.start > a.end + 1
+
+    def test_long_labels_with_runs_at_both_ends(self):
+        rng = np.random.default_rng(19)
+        labels = (rng.random(120_000) < 0.3).astype(np.int64)
+        labels[:5] = labels[-7:] = 1
+        segs = extract_segments(labels)
+        assert [(s.start, s.end) for s in segs] == oracle.find_segments(labels.tolist())
+        assert segs[0].start == 0 and segs[-1].end == 119_999
+        assert (segments_to_mask(segs, len(labels)) == labels).all()
 
 
 class TestSplitSeries:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -137,3 +138,28 @@ def test_plan_serialization_round_trip_bytes():
     text1 = build_plan("zero_shot", ds, seed=11).to_json()
     text2 = build_plan("zero_shot", ds, seed=11).to_json()
     assert text1.encode() == text2.encode()
+
+
+@pytest.mark.parametrize(
+    "schema, count, tasks",
+    [
+        ("naive", 2, [(["s0"], ["s0"]), (["s1"], ["s1"])]),
+        ("all_in_one", 2, [(["s0", "s1"], ["s0", "s1"])]),
+        ("zero_shot", 3, [(["s0", "s1"], ["s2"])]),
+    ],
+)
+def test_plan_json_text(schema, count, tasks):
+    """The exact text ``split`` writes: sorted keys, indent 2, one LF."""
+    expected = {
+        "schema": schema,
+        "seed": 1 if schema == "zero_shot" else None,
+        "tasks": [
+            {
+                "eval_refs": [[sid, [10, 20]] for sid in evals],
+                "train_refs": [[sid, [0, 8]] for sid in trains],
+            }
+            for trains, evals in tasks
+        ],
+    }
+    text = build_plan(schema, dataset(count), seed=1).to_json()
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -275,6 +275,10 @@ def _curve_labels_match_masks(scores, labels):
     _assert_same_reports([evaluate_curve(ranked, shared, c) for c in criteria], want)
     _assert_same_reports(evaluate_criteria(ranked, shared, criteria), want)
     assert shared.prolonged(9) is shared.prolonged(9)
+    for prolong_len in (0, 9):
+        prolonged = shared.prolonged(prolong_len)
+        assert not prolonged.in_seg.flags.writeable
+        assert prolonged.in_seg.tolist() == list(prolonged.mask)
 
 
 @pytest.mark.parametrize("n", [10, SWEEP_CUTOFF, SWEEP_CUTOFF + 1, 1000])
