@@ -23,13 +23,9 @@ from .metrics import (
     EvalCriterion,
     ExtendedSegment,
     MetricReport,
-    WeightedConfusion,
-    adjust_scores_pa,
     aggregate,
     auprc,
     best_f1,
-    confusion_at_threshold,
-    detected_within_delay,
     evaluate_curve,
     parse_criterion,
     prf_from_confusion,

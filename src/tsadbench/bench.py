@@ -32,8 +32,8 @@ import numpy as np
 from . import detectors as det
 from .core import TimeSeries, validate_scores
 from .datasets import (
-    atomic_open, filter_anomaly_free, load_dataset, read_score_dump, resolve_k_delay, write_json,
-    write_score_dump,
+    DatasetManifest, atomic_open, filter_anomaly_free, load_dataset, read_k_delay_override,
+    read_score_dump, record_k_delay_override, resolve_k_delay, write_json, write_score_dump,
 )
 from .errors import (
     ConfigError,
@@ -296,14 +296,16 @@ class DatasetContext:
     criteria: tuple[tuple[str, EvalCriterion], ...]
 
 
-def _dataset_context(report: RunReport, root: str, criteria: Sequence[EvalCriterion],
+def _dataset_context(report: RunReport, dataset: tuple[list[TimeSeries], DatasetManifest],
+                     criteria: Sequence[EvalCriterion],
                      k_delay_overrides: Mapping[str, int | None]) -> DatasetContext:
-    """The context of the dataset under root; each curve without an anomaly
-    in its test region is recorded in report as an exclusion."""
+    """The context of a dataset as ``load_dataset`` returns it; each curve
+    without an anomaly in its test region is recorded in report as an
+    exclusion."""
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"each criterion must be listed once, got {labels}")
-    series, manifest = load_dataset(root)
+    series, manifest = dataset
     kept, excluded = filter_anomaly_free(series)
     for cid in excluded:
         report.exclusions.append(
@@ -325,7 +327,8 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
     report = RunReport(config_echo=config.echo())
     contexts: dict[str, DatasetContext] = {}
     for root in config.datasets:
-        ctx = _dataset_context(report, root, config.criteria, config.k_delay_overrides)
+        ctx = _dataset_context(report, load_dataset(root), config.criteria,
+                               config.k_delay_overrides)
         if ctx.name in contexts:
             raise DatasetError(f"duplicate dataset name {ctx.name!r}")
         contexts[ctx.name] = ctx
@@ -334,6 +337,8 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
     for ctx in contexts.values():
         if not ctx.series_by_id:
             continue
+        record_k_delay_override(os.path.join(output_dir, "scores"), ctx.name,
+                                config.k_delay_overrides)
         for schema in config.schemas:
             try:
                 plan = build_plan(schema, list(ctx.series_by_id.values()), config.seed)
@@ -433,8 +438,12 @@ def evaluate_scores(
     every detector directory must hold a dump for every kept curve;
     zero_shot's held-out half depends on the run's seed, so there each
     detector must hold the curves any detector of that schema dumped.
+    The K override ``run`` recorded next to the dumps applies unless
+    k_delay_overrides names the dataset.
     """
-    k_delay_overrides = dict(k_delay_overrides or {})
+    dataset = load_dataset(dataset_root)
+    name = dataset[1].name
+    k_delay_overrides = {**read_k_delay_override(scores_root, name), **(k_delay_overrides or {})}
     report = RunReport(
         config_echo={
             "datasets": [dataset_root],
@@ -442,7 +451,7 @@ def evaluate_scores(
             "k_delay_overrides": k_delay_overrides,
         }
     )
-    ctx = _dataset_context(report, dataset_root, criteria, k_delay_overrides)
+    ctx = _dataset_context(report, dataset, criteria, k_delay_overrides)
     ds_dir = os.path.join(scores_root, ctx.name)
     if not os.path.isdir(ds_dir):
         raise DatasetError(f"no score dumps for dataset {ctx.name!r} under {scores_root}")

@@ -157,19 +157,54 @@ class DatasetManifest:
         return DEFAULT_RATIO if split == "predefined" else tuple(split["ratio"])
 
 
-def _read_manifest(path: str) -> DatasetManifest:
-    """The manifest at path; a malformed one is a ParseError naming it."""
+@dataclass(frozen=True)
+class RecordedOverride:
+    """scores/<dataset>/k_delay_override.json: the K override ``run``
+    applied to the dataset, for ``eval`` of its dumps."""
+
+    k_delay: int | None
+
+    def __post_init__(self):
+        if self.k_delay is not None:
+            require_int("k_delay", self.k_delay, 0)
+
+
+K_OVERRIDE_FILE = "k_delay_override.json"
+
+
+def _read_document(path: str, cls, what: str, **items):
+    """The JSON document at path read by ``from_fields``; a malformed one
+    is a ParseError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return from_fields(
-            DatasetManifest, doc, "manifest",
-            curves=lambda c: from_fields(CurveSpec, c, "curve entry"),
-        )
+        return from_fields(cls, doc, what, **items)
     except (json.JSONDecodeError, ConfigError) as exc:
-        raise ParseError(f"manifest {path}: {exc}") from exc
+        raise ParseError(f"{what} {path}: {exc}") from exc
     except InvariantViolation as exc:
-        raise InvariantViolation(f"manifest {path}: {exc}") from exc
+        raise InvariantViolation(f"{what} {path}: {exc}") from exc
+
+
+def record_k_delay_override(scores_root: str, dataset: str,
+                            overrides: Mapping[str, int | None]) -> None:
+    """Record the override for dataset next to its dumps, or, when
+    overrides do not name it, remove an earlier run's record."""
+    path = os.path.join(scores_root, dataset, K_OVERRIDE_FILE)
+    if dataset not in overrides:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        return
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_json(path, asdict(RecordedOverride(overrides[dataset])))
+
+
+def read_k_delay_override(scores_root: str, dataset: str) -> dict[str, int | None]:
+    """``{dataset: K}`` when ``run`` recorded an override for dataset under
+    scores_root, else ``{}``."""
+    path = os.path.join(scores_root, dataset, K_OVERRIDE_FILE)
+    if not os.path.isfile(path):
+        return {}
+    return {dataset: _read_document(path, RecordedOverride, "k_delay override").k_delay}
 
 
 def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
@@ -300,7 +335,8 @@ def load_dataset(root: str) -> tuple[list[TimeSeries], DatasetManifest]:
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise MissingManifest(f"no manifest.json under {root}")
-    manifest = _read_manifest(manifest_path)
+    manifest = _read_document(manifest_path, DatasetManifest, "manifest",
+                              curves=lambda c: from_fields(CurveSpec, c, "curve entry"))
     series = []
     for curve in manifest.curves:
         path = os.path.join(root, curve.file)

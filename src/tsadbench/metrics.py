@@ -26,12 +26,11 @@ order of the points inside its group. Curves of up to ``SWEEP_CUTOFF``
 runs kept by endpoint links for the event criteria); longer ones by numpy.
 Reduced-length weights and aggregate means are correctly rounded sums
 (equal to ``math.fsum``), so no path depends on addition order: both
-sweeps equal ``confusion_at_threshold`` bit for bit at every threshold.
+sweeps equal the per-threshold definition of ``tests/oracle.py`` bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
@@ -100,24 +99,6 @@ def parse_criterion(spec: str) -> EvalCriterion:
         except ValueError as exc:
             raise ConfigError(f"bad criterion option {part!r} in {spec!r}") from exc
     return EvalCriterion(variant.strip(), **options)
-
-
-@dataclass(frozen=True)
-class WeightedConfusion:
-    """Real-valued confusion counts produced by the event-based criteria."""
-
-    tp: float
-    fp: float
-    fn: float
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-    def __iter__(self):
-        return iter((self.tp, self.fp, self.fn))
 
 
 @dataclass(frozen=True)
@@ -199,38 +180,6 @@ def _segment_mask(segments: Sequence[ExtendedSegment], n: int) -> bytearray:
     return mask
 
 
-def adjust_scores_pa(
-    scores, segments: Sequence[ExtendedSegment], k_delay: int | None = None
-) -> list[float]:
-    """Point adjustment: propagate each segment's best score to all its points.
-
-    Without a latency limit the propagated value is the maximum raw score
-    inside the extended segment. With ``k_delay`` it is the maximum over
-    the positions within K of onset, so a segment whose only alarms come
-    too late is treated as missed everywhere. Raises NonFiniteScore unless
-    every score is finite.
-    """
-    _require_finite(scores)
-    out = _as_list(scores)[:]
-    for seg in segments:
-        hi = _detect_window_end(seg, k_delay)
-        peak = max(out[seg.start : hi + 1]) if hi >= seg.start else -math.inf
-        out[seg.start : seg.end + 1] = [peak] * (seg.end - seg.start + 1)
-    return out
-
-
-def detected_within_delay(
-    segment: ExtendedSegment, scores, threshold: float, k_delay: int | None = None
-) -> bool:
-    """True iff some raw score >= threshold lands in the extended segment
-    no later than ``k_delay`` points after onset (onset itself is offset 0).
-    Raises NonFiniteScore unless every score is finite."""
-    _require_finite(scores)
-    scores = _as_list(scores)
-    hi = _detect_window_end(segment, k_delay)
-    return any(scores[p] >= threshold for p in range(segment.start, hi + 1))
-
-
 # A weight ln(j + e) of up to 2**23 points lies in [1, 16), so w * 2**52 is
 # an integer below 2**56; the sweeps add such integers exactly, then round
 # once. ``_sums`` splits them into 26-bit low parts and high parts below
@@ -266,59 +215,8 @@ def _sums(terms: np.ndarray, reads, weighted: bool) -> np.ndarray:
     return (high * 2.0**26 + low) / _ONE
 
 
-def confusion_at_threshold(
-    scores,
-    segments: Sequence[ExtendedSegment],
-    threshold: float,
-    criterion: EvalCriterion,
-) -> WeightedConfusion:
-    """Confusion counts at one threshold; segments must already be prolonged.
-
-    Raises NonFiniteScore unless every score is finite.
-    """
-    _require_finite(scores)
-    scores = _as_list(scores)
-    n = len(scores)
-    in_seg = _segment_mask(segments, n)
-    if criterion.variant == "point_wise_pa":
-        adjusted = adjust_scores_pa(scores, segments, criterion.k_delay)
-        tp = fp = fn = 0
-        for p in range(n):
-            if adjusted[p] >= threshold:
-                if in_seg[p]:
-                    tp += 1
-                else:
-                    fp += 1
-            elif in_seg[p]:
-                fn += 1
-        return WeightedConfusion(float(tp), float(fp), float(fn))
-
-    weighted = criterion.variant == "reduced_length_pa"
-    weight = functools.cache(lambda length: _LOG(length + _E) if weighted else 1.0)
-    tp, fp, fn = [], [], []
-    for seg in segments:
-        hi = _detect_window_end(seg, criterion.k_delay)
-        hit = max(scores[seg.start : hi + 1]) >= threshold
-        (tp if hit else fn).append(weight(seg.orig_length))
-    run_len = 0
-    run_clean = True
-    for value, inside in zip(scores, in_seg):
-        if value >= threshold:
-            run_len += 1
-            if inside:
-                run_clean = False
-        elif run_len:
-            if run_clean:
-                fp.append(weight(run_len))
-            run_len = 0
-            run_clean = True
-    if run_len and run_clean:
-        fp.append(weight(run_len))
-    return WeightedConfusion(math.fsum(tp), math.fsum(fp), math.fsum(fn))
-
-
 def prf_from_confusion(c) -> tuple[float, float, float]:
-    """Precision, recall, F1 of a WeightedConfusion or a (tp, fp, fn) triple.
+    """Precision, recall, F1 of a (tp, fp, fn) triple.
 
     Zero denominators give 0: precision with no alarms, recall with no
     events, F1 when both are 0.

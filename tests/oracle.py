@@ -4,7 +4,9 @@ Deliberately written from the definitions rather than sharing any code
 with the package: segments come from a linear scan, prolonged ends apply
 the min(end+L, next_start-1, n-1) rule directly, and every unique
 threshold is evaluated by a fresh pass over the scores. Used to freeze
-expected values and to check the optimized sweep.
+expected values and to check the optimized sweep. ``Reference`` is the one
+per-threshold statement of the criteria in the repository; the package
+keeps only its sweeps.
 
 The ``*_diff_matrix`` functions keep the store-based detectors' plain
 formulas (a distance from every stored window, nearest by a full sort) as
@@ -44,58 +46,83 @@ def _window_hi(s, e, k):
     return e if k is None else min(e, s + k)
 
 
+class Reference:
+    """The definitions on one curve, with the label side set up once: the
+    prolonged segments as (start, end, original end), each one's detection
+    window (onset to K points after it, offset 0 = onset, within the
+    prolonged end), the in-segment mask and the window each point is in."""
+
+    def __init__(self, labels, k=None, prolong_len=0):
+        n = len(labels)
+        self.n = n
+        self.ext = prolong(find_segments(labels), prolong_len, n)
+        self.windows = [(s, _window_hi(s, e, k)) for s, e, _oe in self.ext]
+        self.inseg = [False] * n
+        self.window_of = [-1] * n
+        for i, ((s, e, _oe), (lo, hi)) in enumerate(zip(self.ext, self.windows)):
+            self.inseg[s : e + 1] = [True] * (e - s + 1)
+            self.window_of[lo : hi + 1] = [i] * (hi - lo + 1)
+
+    def adjusted(self, scores):
+        """Point adjustment: every point of a prolonged segment takes the
+        segment's highest score within its detection window."""
+        out = list(scores)
+        for (s, e, _oe), (lo, hi) in zip(self.ext, self.windows):
+            out[s : e + 1] = [max(scores[lo : hi + 1])] * (e - s + 1)
+        return out
+
+    def alarms(self, scores, threshold):
+        """One pass over the scores >= threshold: per segment, whether one
+        lands in its detection window; and the lengths of the maximal runs
+        of them that touch no prolonged segment (the false alarms)."""
+        hits = [False] * len(self.ext)
+        runs = []
+        length, clean = 0, True
+        for value, inside, window in zip(scores, self.inseg, self.window_of):
+            if value >= threshold:
+                length += 1
+                if inside:
+                    clean = False
+                if window >= 0:
+                    hits[window] = True
+            elif length:
+                if clean:
+                    runs.append(length)
+                length, clean = 0, True
+        if length and clean:
+            runs.append(length)
+        return hits, runs
+
+    def confusion(self, scores, variant, threshold):
+        """(tp, fp, fn) at one threshold. Reduced-length weights are summed
+        with ``math.fsum``, so the sums are correctly rounded."""
+        if variant == "point_wise_pa":
+            tp = fp = fn = 0
+            for value, inside in zip(self.adjusted(scores), self.inseg):
+                if value >= threshold:
+                    if inside:
+                        tp += 1
+                    else:
+                        fp += 1
+                elif inside:
+                    fn += 1
+            return float(tp), float(fp), float(fn)
+
+        def weights(lengths):
+            if variant == "reduced_length_pa":
+                return [math.log(length + E) for length in lengths]
+            return [1.0] * len(lengths)
+
+        hits, runs = self.alarms(scores, threshold)
+        lengths = [oe - s + 1 for s, _e, oe in self.ext]
+        tp = weights([length for length, hit in zip(lengths, hits) if hit])
+        fn = weights([length for length, hit in zip(lengths, hits) if not hit])
+        return math.fsum(tp), math.fsum(weights(runs)), math.fsum(fn)
+
+
 def confusion(scores, labels, variant, threshold, k=None, prolong_len=0):
     """(tp, fp, fn) at one threshold, straight from the definitions."""
-    n = len(scores)
-    ext = prolong(find_segments(labels), prolong_len, n)
-    inseg = [False] * n
-    for s, e, _oe in ext:
-        for p in range(s, e + 1):
-            inseg[p] = True
-
-    if variant == "point_wise_pa":
-        adjusted = list(scores)
-        for s, e, _oe in ext:
-            hi = _window_hi(s, e, k)
-            peak = max(scores[s : hi + 1])
-            for p in range(s, e + 1):
-                adjusted[p] = peak
-        tp = fp = fn = 0
-        for p in range(n):
-            if adjusted[p] >= threshold:
-                if inseg[p]:
-                    tp += 1
-                else:
-                    fp += 1
-            elif inseg[p]:
-                fn += 1
-        return float(tp), float(fp), float(fn)
-
-    weighted = variant == "reduced_length_pa"
-    tp = fn = 0.0
-    for s, e, oe in ext:
-        weight = math.log(oe - s + 1 + E) if weighted else 1.0
-        hi = _window_hi(s, e, k)
-        if any(scores[p] >= threshold for p in range(s, hi + 1)):
-            tp += weight
-        else:
-            fn += weight
-    fp = 0.0
-    p = 0
-    while p < n:
-        if scores[p] >= threshold:
-            q = p
-            clean = True
-            while q < n and scores[q] >= threshold:
-                if inseg[q]:
-                    clean = False
-                q += 1
-            if clean:
-                fp += math.log(q - p + E) if weighted else 1.0
-            p = q
-        else:
-            p += 1
-    return tp, fp, fn
+    return Reference(labels, k, prolong_len).confusion(scores, variant, threshold)
 
 
 def prf(tp, fp, fn):
@@ -131,8 +158,9 @@ def auprc(scores, labels, variant, k=None, prolong_len=0):
     return area
 
 
-class FastOracle:
-    """Per-threshold brute force with the label-side structures set up once.
+class FastOracle(Reference):
+    """Per-threshold brute force on ``Reference``'s label side, with each
+    score array's segment peaks taken once.
 
     Semantics identical to confusion()/best_f1()/auprc() above (the slow
     path cross-checks this in tests); factoring out the label-dependent
@@ -140,17 +168,9 @@ class FastOracle:
     """
 
     def __init__(self, labels, variant, k=None, prolong_len=0):
-        n = len(labels)
-        segs = find_segments(labels)
-        ext = prolong(segs, prolong_len, n)
-        self.n = n
+        super().__init__(labels, k, prolong_len)
+        ext = self.ext
         self.variant = variant
-        self.ext = ext
-        self.inseg = [False] * n
-        for s, e, _oe in ext:
-            for p in range(s, e + 1):
-                self.inseg[p] = True
-        self.windows = [(s, _window_hi(s, e, k)) for s, e, _oe in ext]
         weighted = variant == "reduced_length_pa"
         self.weighted = weighted
         self.weights = [

@@ -22,11 +22,10 @@ from tsadbench.extern import ExternalDetectorSpec
 from tsadbench.metrics import (
     EvalCriterion,
     best_f1,
-    confusion_at_threshold,
-    detected_within_delay,
     evaluate_curve,
     prf_from_confusion,
     prolong_segments,
+    sweep_confusions,
 )
 from tsadbench.rng import SplitMix64
 from tsadbench.schemas import plan_zero_shot
@@ -50,6 +49,14 @@ def criterion(num, description):
     return decorate
 
 
+def _swept_at(scores, labels, criterion, threshold):
+    """The engine's (tp, fp, fn) at threshold: the sweep's entry at the last
+    listed threshold at or above it."""
+    thresholds, tps, fps, fns, _ = sweep_confusions(scores, labels, criterion)
+    i = max(i for i, t in enumerate(thresholds) if t >= threshold)
+    return tps[i], fps[i], fns[i]
+
+
 @criterion(1, "Fig-3 scenario: point-wise 0.8, event-wise 1/3 & 0.5, reduced ~0.6436")
 def test_criterion_01_fig3_scenario():
     start = time.perf_counter()
@@ -60,36 +67,45 @@ def test_criterion_01_fig3_scenario():
     labels = [0] * 30
     for i in range(5, 13):  # one true segment of length 8
         labels[i] = 1
-    segments = prolong_segments(extract_segments(labels), 0, len(labels))
 
-    c = confusion_at_threshold(scores, segments, 0.5, EvalCriterion("point_wise_pa", prolong_len=0))
+    # the definition (tests/oracle.py), then the engine's sweep
+    c = oracle.confusion(scores, labels, "point_wise_pa", 0.5)
     precision, _, _ = prf_from_confusion(c)
     assert precision == 0.8
+    assert _swept_at(scores, labels, EvalCriterion("point_wise_pa", prolong_len=0), 0.5) == (
+        8.0, 2.0, 0.0)
 
-    c = confusion_at_threshold(scores, segments, 0.5, EvalCriterion("event_wise_pa", prolong_len=0))
+    c = oracle.confusion(scores, labels, "event_wise_pa", 0.5)
     precision, recall, f1 = prf_from_confusion(c)
     assert abs(precision - 1.0 / 3.0) <= 1e-12
     assert recall == 1.0
     assert f1 == 0.5
+    assert _swept_at(scores, labels, EvalCriterion("event_wise_pa", prolong_len=0), 0.5) == (
+        1.0, 2.0, 0.0)
 
-    c = confusion_at_threshold(
-        scores, segments, 0.5, EvalCriterion("reduced_length_pa", prolong_len=0)
-    )
-    _, _, f1 = prf_from_confusion(c)
-    assert abs(f1 - 0.6436) <= 1e-4
+    reduced = EvalCriterion("reduced_length_pa", prolong_len=0)
+    for c in (oracle.confusion(scores, labels, "reduced_length_pa", 0.5),
+              _swept_at(scores, labels, reduced, 0.5)):
+        _, _, f1 = prf_from_confusion(c)
+        assert abs(f1 - 0.6436) <= 1e-4
 
     assert time.perf_counter() - start < 1.0
 
 
 @criterion(2, "k-delay: first alarm at offset 3 detected, offset 4 missed (K=3)")
 def test_criterion_02_k_delay_semantics():
-    segment = prolong_segments([AnomalySegment(5, 15)], 0, 30)[0]
+    labels = [0] * 30
+    labels[5:16] = [1] * 11  # one segment, onset 5
+    reference = oracle.Reference(labels, k=3)
+    k3 = EvalCriterion("event_wise_pa", k_delay=3, prolong_len=0)
     scores = [0.0] * 30
     scores[8] = 1.0  # offset 3 from onset
-    assert detected_within_delay(segment, scores, 0.5, k_delay=3) is True
+    assert reference.alarms(scores, 0.5)[0] == [True]
+    assert _swept_at(scores, labels, k3, 0.5) == (1.0, 0.0, 0.0)
     scores = [0.0] * 30
     scores[9] = 1.0  # offset 4
-    assert detected_within_delay(segment, scores, 0.5, k_delay=3) is False
+    assert reference.alarms(scores, 0.5)[0] == [False]
+    assert _swept_at(scores, labels, k3, 0.5) == (0.0, 0.0, 1.0)
 
 
 def _label_strings_with_at_most_two_segments(max_len=10):

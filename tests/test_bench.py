@@ -307,6 +307,82 @@ class TestEvaluateScores:
         assert not again.failures
 
 
+class TestRecordedKOverride:
+    """``run`` records a K override next to the dumps; ``eval`` applies it."""
+
+    @pytest.fixture
+    def kd(self, tmp_path):
+        # a dataset whose manifest sets K = 7
+        configs = [
+            SynthConfig(id=f"c{i}", length=300, seed=3 + i,
+                        anomalies=(AnomalySpec(kind="global", count=2),))
+            for i in range(2)
+        ]
+        root = str(tmp_path / "dsk")
+        generate_dataset(configs, root, name="kd", k_delay=7)
+        return root
+
+    def _run(self, tmp_path, root, overrides):
+        doc = {
+            "datasets": [root],
+            "detectors": [{"kind": "first_diff"}],
+            "criteria": [{"variant": "event_wise_pa", "k_delay": 2}],
+            "k_delay_overrides": overrides,
+        }
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli_main(["run", "-c", str(config), "-o", str(out)]) == 0
+        return out
+
+    def _eval(self, tmp_path, root, run_out):
+        out = tmp_path / "eval"
+        code = cli_main(["eval", "-s", str(run_out / "scores"), "-d", root,
+                         "--criteria", "event_wise_pa:k=2", "-o", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("k", [1, None], ids=["one", "null"])
+    def test_eval_rows_equal_run_rows(self, kd, tmp_path, k):
+        run_out = self._run(tmp_path, kd, {"kd": k})
+        code, eval_out = self._eval(tmp_path, kd, run_out)
+        assert code == 0
+        ran = json.loads((run_out / "results.json").read_text())
+        evaluated = json.loads((eval_out / "results.json").read_text())
+        assert {row["k_delay"] for row in evaluated["metrics"]} == {k}
+        assert evaluated["metrics"] == ran["metrics"]
+        assert evaluated["config"]["k_delay_overrides"] == {"kd": k}
+        recorded = run_out / "scores" / "kd" / datasets.K_OVERRIDE_FILE
+        assert json.loads(recorded.read_text()) == {"k_delay": k}
+
+    @pytest.mark.parametrize("earlier", [None, {"kd": 1}], ids=["fresh", "rerun"])
+    def test_written_only_for_a_named_dataset(self, kd, tmp_path, earlier):
+        if earlier is not None:  # a rerun into the same directory drops the old record
+            self._run(tmp_path, kd, earlier)
+        run_out = self._run(tmp_path, kd, {"other": 1})
+        assert not (run_out / "scores" / "kd" / datasets.K_OVERRIDE_FILE).exists()
+        report = bench.evaluate_scores(str(run_out / "scores"), kd,
+                                       (EvalCriterion("event_wise_pa", k_delay=2),))
+        assert {r.k_delay for r in report.rows} == {7}
+
+    def test_caller_override_wins(self, kd, tmp_path):
+        run_out = self._run(tmp_path, kd, {"kd": 1})
+        report = bench.evaluate_scores(str(run_out / "scores"), kd,
+                                       (EvalCriterion("event_wise_pa", k_delay=2),), {"kd": 4})
+        assert {r.k_delay for r in report.rows} == {4}
+        assert report.config_echo["k_delay_overrides"] == {"kd": 4}
+
+    @pytest.mark.parametrize("text", ['{"k_delay": "1"}', '{"k_delay": -1}', "{}", "[1]", "{"])
+    def test_malformed_record_is_a_dataset_error(self, kd, tmp_path, capsys, text):
+        run_out = self._run(tmp_path, kd, {"kd": 1})
+        recorded = run_out / "scores" / "kd" / datasets.K_OVERRIDE_FILE
+        recorded.write_text(text)
+        capsys.readouterr()
+        code, eval_out = self._eval(tmp_path, kd, run_out)
+        assert code == 2
+        assert str(recorded) in capsys.readouterr().err
+        assert not eval_out.exists()
+
+
 class TestAggregateOrder:
     def test_curve_order_does_not_change_aggregates(self, tmp_path):
         # the manifest lists its curves in reverse: run visits them in

@@ -9,15 +9,10 @@ from tsadbench.core import AnomalySegment, extract_segments
 from tsadbench.errors import ConfigError, EmptyDataset, NoPositiveEvents
 from tsadbench.metrics import (
     EvalCriterion,
-    ExtendedSegment,
     MetricReport,
-    WeightedConfusion,
-    adjust_scores_pa,
     aggregate,
     auprc,
     best_f1,
-    confusion_at_threshold,
-    detected_within_delay,
     evaluate_curve,
     parse_criterion,
     prf_from_confusion,
@@ -29,8 +24,24 @@ E = math.e
 VARIANTS = ("point_wise_pa", "event_wise_pa", "reduced_length_pa")
 
 
-def ext(start, end, orig_end=None):
-    return ExtendedSegment(start=start, end=end, orig_end=orig_end or end)
+def _labels(n, *segments):
+    """n labels, 1 on each (start, end) segment, both ends included."""
+    labels = [0] * n
+    for start, end in segments:
+        labels[start : end + 1] = [1] * (end - start + 1)
+    return labels
+
+
+def adjust_scores_pa(scores, segments, k_delay=None):
+    """The oracle's point adjustment, on segments that are not prolonged."""
+    return oracle.Reference(_labels(len(scores), *segments), k_delay).adjusted(scores)
+
+
+def detected_within_delay(segment, scores, threshold, k_delay):
+    """The oracle's detection within K of one segment that is not prolonged."""
+    reference = oracle.Reference(_labels(len(scores), segment), k_delay)
+    (hit,), _runs = reference.alarms(scores, threshold)
+    return hit
 
 
 class TestProlong:
@@ -69,7 +80,7 @@ class TestProlong:
 
 class TestAdjustScores:
     def test_max_propagation(self):
-        assert adjust_scores_pa([0, 0, 0.9, 0, 0], [ext(1, 3)]) == [0, 0.9, 0.9, 0.9, 0]
+        assert adjust_scores_pa([0, 0, 0.9, 0, 0], [(1, 3)]) == [0, 0.9, 0.9, 0.9, 0]
 
     def test_no_segments_identity(self):
         scores = [0.3, 0.1, 0.7]
@@ -77,13 +88,13 @@ class TestAdjustScores:
 
     def test_each_segment_takes_own_max(self):
         scores = [0.2, 0.1, 0.0, 0.8, 0.5]
-        out = adjust_scores_pa(scores, [ext(0, 1), ext(3, 4)])
+        out = adjust_scores_pa(scores, [(0, 1), (3, 4)])
         assert out == [0.2, 0.2, 0.0, 0.8, 0.8]
 
     def test_k_delay_restricts_window(self):
         # peak at offset 3 is invisible with k_delay=1
         scores = [0.1, 0.2, 0.0, 0.9, 0.0]
-        out = adjust_scores_pa(scores, [ext(0, 4)], k_delay=1)
+        out = adjust_scores_pa(scores, [(0, 4)], k_delay=1)
         assert out == [0.2] * 5
 
     @given(
@@ -100,7 +111,7 @@ class TestAdjustScores:
             )
         )
         segs = prolong_segments(extract_segments(labels), 3, len(labels))
-        out = adjust_scores_pa(scores, segs)
+        out = oracle.Reference(labels, prolong_len=3).adjusted(scores)
         for seg in segs:
             expected = max(scores[seg.start : seg.end + 1])
             assert all(out[p] == expected for p in range(seg.start, seg.end + 1))
@@ -110,18 +121,18 @@ class TestDetectedWithinDelay:
     def test_offset_three_within_limit(self):
         scores = [0.0] * 20
         scores[8] = 1.0
-        assert detected_within_delay(ext(5, 15), scores, 0.5, k_delay=3)
+        assert detected_within_delay((5, 15), scores, 0.5, k_delay=3)
 
     def test_offset_four_beyond_limit(self):
         scores = [0.0] * 20
         scores[9] = 1.0
-        assert not detected_within_delay(ext(5, 15), scores, 0.5, k_delay=3)
+        assert not detected_within_delay((5, 15), scores, 0.5, k_delay=3)
 
     def test_no_limit_accepts_any_alarm(self):
         scores = [0.0] * 20
         scores[15] = 1.0
-        assert detected_within_delay(ext(5, 15), scores, 0.5, k_delay=None)
-        assert not detected_within_delay(ext(5, 14), scores, 0.5, k_delay=None)
+        assert detected_within_delay((5, 15), scores, 0.5, k_delay=None)
+        assert not detected_within_delay((5, 14), scores, 0.5, k_delay=None)
 
 
 def fig3_scores_and_labels():
@@ -138,34 +149,33 @@ def fig3_scores_and_labels():
 
 
 class TestConfusionFig3:
+    """The oracle's definition at one threshold."""
+
     def setup_method(self):
         self.scores, self.labels = fig3_scores_and_labels()
-        self.segments = prolong_segments(extract_segments(self.labels), 0, 30)
 
     def test_point_wise_precision(self):
-        crit = EvalCriterion("point_wise_pa", prolong_len=0)
-        c = confusion_at_threshold(self.scores, self.segments, 0.5, crit)
-        assert (c.tp, c.fp, c.fn) == (8.0, 2.0, 0.0)
+        c = oracle.confusion(self.scores, self.labels, "point_wise_pa", 0.5)
+        assert c == (8.0, 2.0, 0.0)
         precision, recall, _ = prf_from_confusion(c)
         assert precision == 0.8
         assert recall == 1.0
 
     def test_event_wise(self):
-        crit = EvalCriterion("event_wise_pa", prolong_len=0)
-        c = confusion_at_threshold(self.scores, self.segments, 0.5, crit)
-        assert (c.tp, c.fp, c.fn) == (1.0, 2.0, 0.0)
+        c = oracle.confusion(self.scores, self.labels, "event_wise_pa", 0.5)
+        assert c == (1.0, 2.0, 0.0)
         precision, recall, f1 = prf_from_confusion(c)
         assert abs(precision - 1 / 3) < 1e-12
         assert recall == 1.0
         assert f1 == 0.5
 
     def test_reduced_length(self):
-        crit = EvalCriterion("reduced_length_pa", prolong_len=0)
-        c = confusion_at_threshold(self.scores, self.segments, 0.5, crit)
-        assert abs(c.tp - math.log(8 + E)) < 1e-12
-        assert abs(c.fp - 2 * math.log(1 + E)) < 1e-12
-        assert round(c.tp, 4) == 2.3720  # ln(8+e) = 2.37195...
-        assert round(c.fp, 4) == 2.6265
+        c = oracle.confusion(self.scores, self.labels, "reduced_length_pa", 0.5)
+        tp, fp, _fn = c
+        assert abs(tp - math.log(8 + E)) < 1e-12
+        assert abs(fp - 2 * math.log(1 + E)) < 1e-12
+        assert round(tp, 4) == 2.3720  # ln(8+e) = 2.37195...
+        assert round(fp, 4) == 2.6265
         precision, recall, f1 = prf_from_confusion(c)
         assert abs(precision - 0.4745) < 1e-4
         assert recall == 1.0
@@ -177,40 +187,30 @@ class TestConfusionFig3:
         scores = [0.0] * 30
         scores[7] = 0.9
         scores[13] = 0.8  # first post-segment point
-        segs = prolong_segments(extract_segments(self.labels), 9, 30)
-        crit = EvalCriterion("event_wise_pa", prolong_len=9)
-        c = confusion_at_threshold(scores, segs, 0.5, crit)
-        assert (c.tp, c.fp, c.fn) == (1.0, 0.0, 0.0)
+        c = oracle.confusion(scores, self.labels, "event_wise_pa", 0.5, prolong_len=9)
+        assert c == (1.0, 0.0, 0.0)
 
     def test_alarm_run_touching_segment_is_not_fp(self):
         # a run crossing the segment boundary belongs to the event
         scores = [0.0] * 30
         for i in range(11, 16):  # starts inside [5, 12], leaks past it
             scores[i] = 0.9
-        crit = EvalCriterion("event_wise_pa", prolong_len=0)
-        segs = prolong_segments(extract_segments(self.labels), 0, 30)
-        c = confusion_at_threshold(scores, segs, 0.5, crit)
-        assert (c.tp, c.fp, c.fn) == (1.0, 0.0, 0.0)
+        c = oracle.confusion(scores, self.labels, "event_wise_pa", 0.5)
+        assert c == (1.0, 0.0, 0.0)
 
 
 class TestPrf:
     def test_perfect(self):
-        assert prf_from_confusion(WeightedConfusion(1, 0, 0)) == (1.0, 1.0, 1.0)
+        assert prf_from_confusion((1, 0, 0)) == (1.0, 1.0, 1.0)
 
     def test_no_alarm_convention(self):
-        assert prf_from_confusion(WeightedConfusion(0, 0, 5)) == (0.0, 0.0, 0.0)
+        assert prf_from_confusion((0, 0, 5)) == (0.0, 0.0, 0.0)
 
     def test_fig3_reduced_numbers(self):
-        precision, recall, f1 = prf_from_confusion(
-            WeightedConfusion(2.3719508656, 2.6265233750, 0)
-        )
+        precision, recall, f1 = prf_from_confusion((2.3719508656, 2.6265233750, 0))
         assert abs(precision - 0.4745) < 1e-4
         assert recall == 1.0
         assert abs(f1 - 0.6436) < 1e-4
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            WeightedConfusion(-1, 0, 0)
 
 
 class TestBestF1:
@@ -241,9 +241,8 @@ class TestBestF1:
         for variant in VARIANTS:
             crit = EvalCriterion(variant, prolong_len=2)
             rep = best_f1(scores, labels, crit)
-            segs = prolong_segments(extract_segments(labels), 2, len(labels))
             for t in [0.0, 0.1, 0.5, 0.8, 0.9, 1.5]:
-                c = confusion_at_threshold(scores, segs, t, crit)
+                c = oracle.confusion(scores, labels, variant, t, prolong_len=2)
                 assert rep.f1_best >= prf_from_confusion(c)[2] - 1e-15
 
 
@@ -297,7 +296,7 @@ def _rand_case(rng, n):
 
 
 class TestSweepMatchesDirectEvaluation:
-    """The incremental sweep must equal per-threshold re-evaluation."""
+    """The incremental sweep must equal the oracle's per-threshold definition."""
 
     def test_random_instances_all_settings(self):
         from tsadbench.rng import SplitMix64
@@ -312,12 +311,11 @@ class TestSweepMatchesDirectEvaluation:
                         crit = EvalCriterion(variant, k_delay=k, prolong_len=length)
                         ths, tps, fps, fns, _ = sweep_confusions(scores, labels, crit)
                         assert ths == sorted(set(scores), reverse=True)
-                        segs = prolong_segments(extract_segments(labels), length, n)
                         for t, tp, fp, fn in zip(ths, tps, fps, fns):
-                            c = confusion_at_threshold(scores, segs, t, crit)
-                            assert tp == c.tp
-                            assert fp == c.fp
-                            assert fn == c.fn
+                            want = oracle.confusion(scores, labels, variant, t, k, length)
+                            assert tp == want[0]
+                            assert fp == want[1]
+                            assert fn == want[2]
 
     def test_matches_independent_oracle(self):
         from tsadbench.rng import SplitMix64
@@ -346,10 +344,9 @@ class TestInvariants:
     def test_tp_plus_fn_equals_segment_count(self):
         scores, labels = fig3_scores_and_labels()
         segs = prolong_segments(extract_segments(labels), 3, len(labels))
-        crit = EvalCriterion("event_wise_pa", prolong_len=3)
         for t in (0.0, 0.5, 0.85, 2.0):
-            c = confusion_at_threshold(scores, segs, t, crit)
-            assert c.tp + c.fn == len(segs)
+            tp, _fp, fn = oracle.confusion(scores, labels, "event_wise_pa", t, prolong_len=3)
+            assert tp + fn == len(segs)
 
     def test_severity_weight_monotone(self):
         weights = [math.log(k + E) for k in range(1, 50)]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from tsadbench import metrics
-from tsadbench.core import extract_segments
 from tsadbench.errors import NonFiniteScore
 from tsadbench.metrics import EvalCriterion, RankedScores
 
@@ -37,11 +36,6 @@ def _curve(n, bad, at):
     return scores, labels
 
 
-def _prolonged(labels, criterion):
-    segments = extract_segments(labels)
-    return metrics.prolong_segments(segments, criterion.prolong_len, len(labels))
-
-
 ENTRY_POINTS = {
     "evaluate_curve": metrics.evaluate_curve,
     "evaluate_criteria": lambda s, y, c: metrics.evaluate_criteria(s, y, (c, c)),
@@ -49,13 +43,6 @@ ENTRY_POINTS = {
     "auprc": metrics.auprc,
     "pr_curve": metrics.pr_curve,
     "sweep_confusions": metrics.sweep_confusions,
-    "confusion_at_threshold": lambda s, y, c: metrics.confusion_at_threshold(
-        s, _prolonged(y, c), 0.5, c
-    ),
-    "adjust_scores_pa": lambda s, y, c: metrics.adjust_scores_pa(s, _prolonged(y, c), c.k_delay),
-    "detected_within_delay": lambda s, y, c: metrics.detected_within_delay(
-        _prolonged(y, c)[0], s, 0.5, c.k_delay
-    ),
 }
 
 

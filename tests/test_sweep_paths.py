@@ -4,8 +4,8 @@ sweep (longer curves) must agree bit for bit.
 Most cases run both paths on one RankedScores, so they see the same
 activation order; one lets each path rank ties its own way. Results are
 compared with ``==`` plus the sign of zero (the int64 bits).
-A long curve is also checked against the brute-force oracle and, for
-reduced-length weights, against ``confusion_at_threshold`` (``math.fsum``).
+A long curve is also checked against the brute-force oracle, for
+reduced-length weights bit for bit (its sums are ``math.fsum``'s).
 """
 
 import itertools
@@ -21,7 +21,6 @@ import pytest
 import oracle
 from tsadbench import metrics
 from tsadbench.cli import main as cli_main
-from tsadbench.core import extract_segments
 from tsadbench.errors import NoPositiveEvents
 from tsadbench.metrics import (
     SWEEP_CUTOFF,
@@ -30,11 +29,9 @@ from tsadbench.metrics import (
     EvalCriterion,
     RankedScores,
     best_f1,
-    confusion_at_threshold,
     evaluate_criteria,
     evaluate_curve,
     prf_from_confusion,
-    prolong_segments,
     sweep_confusions,
 )
 from tsadbench.rng import SplitMix64
@@ -248,13 +245,13 @@ class TestLongCurve:
     @pytest.mark.parametrize("kind", [1, 2, 3], ids=["quantized", "unique", "isolated"])
     def test_reduced_length_bit_identical_to_loop(self, curve, isolated, kind):
         labels, scores = curve[0], (*curve, isolated)[kind]
-        segments = prolong_segments(extract_segments(labels), 9, self.N)
         for k in (None, 3):
             criterion = EvalCriterion("reduced_length_pa", k_delay=k, prolong_len=9)
             slow = assert_paths_agree_one(scores, labels, criterion)
             thresholds = slow[0]
+            reference = oracle.Reference(labels, k, 9)
             for i in range(0, len(thresholds), max(1, len(thresholds) // 200)):
-                want = confusion_at_threshold(scores, segments, thresholds[i], criterion)
+                want = reference.confusion(scores, "reduced_length_pa", thresholds[i])
                 assert _same_bits([column[i] for column in slow[1:4]], list(want)), (k, i)
 
 
