@@ -32,8 +32,9 @@ import numpy as np
 from . import detectors as det
 from .core import TimeSeries, validate_scores
 from .datasets import (
-    DatasetManifest, atomic_open, filter_anomaly_free, load_dataset, read_k_delay_override,
-    read_score_dump, record_k_delay_override, resolve_k_delay, write_json, write_score_dump,
+    DatasetManifest, atomic_open, filter_anomaly_free, load_dataset, read_held_out,
+    read_k_delay_override, read_score_dump, record_held_out, record_k_delay_override,
+    resolve_k_delay, write_json, write_score_dump,
 )
 from .errors import (
     ConfigError,
@@ -345,6 +346,9 @@ def run(config: RunConfig, output_dir: str) -> RunReport:
             except (TooFewSeries, EmptyDataset) as exc:
                 report.failures.append(_failure(ctx.name, schema, "*", ctx.series_by_id, exc))
                 continue
+            if schema == "zero_shot":
+                record_held_out(os.path.join(output_dir, "scores", ctx.name, schema),
+                                [sid for task in plan.tasks for sid, _ in task.eval_refs])
             for detector in config.detectors:
                 if (
                     isinstance(detector, det.DetectorConfig)
@@ -437,8 +441,9 @@ def evaluate_scores(
     non-finite or missing dumps) as failures. Under naive and all_in_one
     every detector directory must hold a dump for every kept curve;
     zero_shot's held-out half depends on the run's seed, so there each
-    detector must hold the curves any detector of that schema dumped.
-    The K override ``run`` recorded next to the dumps applies unless
+    detector must hold the curves ``run`` recorded as held out, or, for
+    dumps without that record, the curves any detector of that schema
+    dumped. The K override ``run`` recorded next to the dumps applies unless
     k_delay_overrides names the dataset.
     """
     dataset = load_dataset(dataset_root)
@@ -467,6 +472,8 @@ def evaluate_scores(
                 dumped[detector] = [c for c in names if c in ctx.series_by_id]
         if schema in ("naive", "all_in_one"):
             expected = set(ctx.series_by_id)
+        elif (held_out := read_held_out(schema_dir)) is not None:
+            expected = set(held_out).intersection(ctx.series_by_id)
         else:
             expected = set().union(*dumped.values())
         for detector, curves in dumped.items():

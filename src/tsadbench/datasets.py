@@ -207,6 +207,38 @@ def read_k_delay_override(scores_root: str, dataset: str) -> dict[str, int | Non
     return {dataset: _read_document(path, RecordedOverride, "k_delay override").k_delay}
 
 
+@dataclass(frozen=True)
+class HeldOutCurves:
+    """scores/<dataset>/zero_shot/held_out.json: the curves ``run``'s
+    zero_shot plan evaluated, for ``eval`` of their dumps."""
+
+    curves: tuple[str, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.curves, tuple):
+            raise ConfigError(f"curves must be a list, got {self.curves!r}")
+        for curve in self.curves:
+            require_name("curve id", curve)
+
+
+HELD_OUT_FILE = "held_out.json"
+
+
+def record_held_out(schema_dir: str, curves: Sequence[str]) -> None:
+    """Record the curves zero_shot evaluated in its dump directory."""
+    os.makedirs(schema_dir, exist_ok=True)
+    write_json(os.path.join(schema_dir, HELD_OUT_FILE), asdict(HeldOutCurves(tuple(curves))))
+
+
+def read_held_out(schema_dir: str) -> tuple[str, ...] | None:
+    """The curves ``run`` recorded in schema_dir as zero_shot's evaluated
+    ones, or None for dumps without a record."""
+    path = os.path.join(schema_dir, HELD_OUT_FILE)
+    if not os.path.isfile(path):
+        return None
+    return _read_document(path, HeldOutCurves, "zero_shot held-out record").curves
+
+
 def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
     values: list[float] = []
     labels: list[int] = []

@@ -122,24 +122,8 @@ def _znorm_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, means, stds
 
 
-def _knn_rows(
-    rows: np.ndarray, cols: np.ndarray, dists: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the k candidate columns ordered by (distance, column), and
-    their distances, as two (rows, k) arrays.
-
-    Candidates are (row, column, distance) triples; every row from 0 up to
-    the largest must have at least k of them.
-    """
-    order = np.lexsort((cols, dists, rows))
-    rows, cols, dists = rows[order], cols[order], dists[order]
-    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k  # rank within its row
-    return cols[keep].reshape(-1, k), dists[keep].reshape(-1, k)
-
-
 def _knn_indices(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ordered by (value, index): the
-    dense 1-d form of ``_knn_rows``."""
+    """Indices of the k smallest entries, ordered by (value, index)."""
     return np.argsort(dists, kind="stable")[:k]
 
 
@@ -213,8 +197,7 @@ def fit(config: DetectorConfig, pools: Sequence[Sequence[float]]) -> FittedDetec
     sq_norms, max_sq_norm = _sq_norms(store)
     neighbors, dists = _store_knn(store, sq_norms, max_sq_norm, k)
     kdist = dists[:, -1].copy()
-    reach = np.maximum(kdist[neighbors], dists)
-    lrd = 1.0 / (reach.mean(axis=1) + _LRD_EPS)
+    lrd = _lrd(np.maximum(kdist[neighbors], dists))
     return FittedDetector(
         config=config,
         store=store,
@@ -232,11 +215,10 @@ def _store_knn(
     """Each stored window's k nearest other windows (ties by index) and their
     exact distances, the last of which is its k-distance.
 
-    ``_refine``'s rule over chunks of rows: one matmul gives the approximate
-    squared distances of at most ``_CHUNK`` pairs, and every pair that the
-    rounding bound cannot rule out of a row's k nearest is re-measured with
-    ``sqrt(sum((s - q)**2))``. The result depends on neither BLAS nor the
-    chunk height.
+    ``_refine``'s search over chunks of rows: one matmul gives the
+    approximate squared distances of at most ``_CHUNK`` pairs, whose
+    ``_candidates`` are re-measured by ``_exact`` and ordered per row by
+    ``_knn_indices``. The result depends on neither BLAS nor the chunk height.
     """
     n, m = store.shape
     neighbors = np.empty((n, k), dtype=np.int64)
@@ -249,16 +231,16 @@ def _store_knn(
         approx *= -2.0
         approx += sq_norms
         approx[local, lo + local] = np.inf  # exclude self
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         tol = _tol(m, max_sq, sq_norms[lo : lo + step])
-        rows, cols = np.nonzero(approx <= (kth + 2.0 * tol)[:, None])
+        rows, cols = np.nonzero(_candidates(approx, k, tol))
         exact = np.empty(len(rows))
         for a in range(0, len(rows), piece):
-            diff = store[cols[a : a + piece]]
-            diff -= store[lo + rows[a : a + piece]]
-            exact[a : a + piece] = np.einsum("ij,ij->i", diff, diff)
-        nb, d = _knn_rows(rows, cols, np.sqrt(exact, out=exact), k)
-        neighbors[lo : lo + step], dists[lo : lo + step] = nb, d
+            part = slice(a, a + piece)
+            exact[part] = _exact(store[cols[part]], store[lo + rows[part]])
+        # nonzero lists each row's candidates together, by ascending column
+        bounds = np.searchsorted(rows, np.arange(len(local) + 1)).tolist()
+        pick = np.array([s + _knn_indices(exact[s:e], k) for s, e in zip(bounds, bounds[1:])])
+        neighbors[lo : lo + step], dists[lo : lo + step] = cols[pick], exact[pick]
     return neighbors, dists
 
 
@@ -279,26 +261,37 @@ def _tol(m: int, max_sq, q_sq):
     return 4.0 * (m + 2) * _EPS * (max_sq + q_sq)
 
 
+def _candidates(approx: np.ndarray, k: int, tol) -> np.ndarray:
+    """Mask of the approximate squared distances (one query's, or one row per
+    query) within twice tol of the k-th smallest: those that can be among the
+    k nearest. approx.T has a column per query, as kth and tol have."""
+    kth = approx.min(-1) if k == 1 else np.partition(approx, k - 1).T[k - 1]
+    return (approx.T <= kth + 2.0 * tol).T
+
+
+def _exact(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``sqrt(sum((s - q)**2))`` for each row of s, which it overwrites."""
+    s -= q
+    return np.sqrt(np.einsum("ij,ij->i", s, s))
+
+
+def _lrd(reach: np.ndarray):
+    """Local reachability density of the reach distances along the last axis."""
+    return 1.0 / (np.add.reduce(reach, axis=-1) / reach.shape[-1] + _LRD_EPS)
+
+
 def _refine(
     rows: np.ndarray, sq_norms: np.ndarray, max_sq: float, q: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distances from q to every row that can be among its k nearest.
-
-    One gemv gives approximate squared distances for all rows; rows within
-    twice the rounding bound of the k-th smallest are recomputed with the
-    exact formula ``sqrt(sum((s - q)**2))``, so the k nearest of the returned
-    distances, ties by index, are the k nearest over all rows. Returns the
-    candidate row indices (ascending) and their exact distances.
-    """
+    """Exact distances from q to every row that can be among its k nearest:
+    the ``_candidates`` of one gemv, re-measured by ``_exact``. Returns the
+    candidate row indices (ascending) and their distances."""
     approx = rows @ q  # ||s||^2 - 2 s.q; ||q||^2 shifts all rows alike
     approx *= -2.0
     approx += sq_norms
-    kth = approx.min() if k == 1 else np.partition(approx, k - 1)[k - 1]
     tol = _tol(len(q), max_sq, float(q @ q))
-    cand = np.flatnonzero(approx <= kth + 2.0 * tol)
-    diff = rows[cand]
-    diff -= q
-    return cand, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    cand = np.flatnonzero(_candidates(approx, k, tol))
+    return cand, _exact(rows[cand], q)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -311,8 +304,7 @@ def _lof_of_window(fitted: FittedDetector, window: np.ndarray) -> float:
     cand, d = _refine(fitted.store, fitted.sq_norms, fitted.max_sq_norm, window, k)
     local = _knn_indices(d, k)
     nb = cand[local]
-    reach = np.maximum(fitted.store_kdist[nb], d[local])
-    lrd_q = 1.0 / (_mean(reach) + _LRD_EPS)
+    lrd_q = _lrd(np.maximum(fitted.store_kdist[nb], d[local]))
     return float(_mean(fitted.store_lrd[nb]) / lrd_q)
 
 

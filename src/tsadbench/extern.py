@@ -106,12 +106,29 @@ class _Process:
         for line in self.proc.stderr:
             self.stderr_lines.append(line.rstrip("\n"))
 
-    def send(self, message: dict) -> None:
-        try:
-            self.proc.stdin.write(json.dumps(message) + "\n")
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise ProtocolError(f"detector closed stdin pipe: {exc}") from exc
+    def send(self, message: dict, timeout: float) -> None:
+        """Write one message under the deadline of the reply it asks for. A
+        detector that has not taken it within timeout seconds is killed,
+        which ends the blocked write, and ExternalTimeout is raised."""
+        line = json.dumps(message) + "\n"
+        failed: list[OSError] = []
+
+        def write():
+            try:
+                self.proc.stdin.write(line)
+                self.proc.stdin.flush()
+            except OSError as exc:
+                failed.append(exc)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        writer.join(timeout)
+        if writer.is_alive():
+            self.reap()
+            writer.join(timeout=5)
+            raise ExternalTimeout(f"detector did not read its input within {timeout:g}s")
+        if failed:
+            raise ProtocolError(f"detector closed stdin pipe: {failed[0]}") from failed[0]
 
     def recv(self, timeout: float) -> dict:
         try:
@@ -137,7 +154,7 @@ class _Process:
 
     def shutdown(self, timeout: float) -> None:
         """Send shutdown and require a clean zero exit."""
-        self.send({"type": "shutdown"})
+        self.send({"type": "shutdown"}, timeout)
         try:
             code = self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -212,7 +229,7 @@ def _exchange(
     series_by_id: Mapping[str, TimeSeries],
     proc: _Process,
 ) -> list[tuple[str, np.ndarray]]:
-    proc.send({"type": "hello", "protocol": PROTOCOL_VERSION})
+    proc.send({"type": "hello", "protocol": PROTOCOL_VERSION}, spec.startup_timeout)
     hello = _expect(proc.recv(spec.startup_timeout), "hello")
     if hello.get("protocol") != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol {hello.get('protocol')!r}")
@@ -221,7 +238,7 @@ def _exchange(
     for sid, (start, end) in task.train_refs:
         series = series_by_id[sid]
         pools.append({"id": sid, "values": series.values[start:end].tolist()})
-    proc.send({"type": "fit", "series": pools})
+    proc.send({"type": "fit", "series": pools}, spec.message_timeout)
     _expect(proc.recv(spec.message_timeout), "fit_done")
 
     results = []
@@ -233,7 +250,8 @@ def _exchange(
                 "id": sid,
                 "context": series.values[:start].tolist(),
                 "values": series.values[start:end].tolist(),
-            }
+            },
+            spec.message_timeout,
         )
         reply = _expect(proc.recv(spec.message_timeout), "scores")
         if reply.get("id") != sid:

@@ -741,7 +741,9 @@ class TestMissingDumps:
         assert len(again.rows) == (2 * 4 - 1) * len(config.criteria)
 
     def test_zero_shot_expects_the_union_of_its_detectors(self, small_dataset, tmp_path):
+        # dumps without run's held-out record, as older runs left them
         scores, config = self._run(small_dataset, tmp_path, ("zero_shot",))
+        (scores / "zero_shot" / datasets.HELD_OUT_FILE).unlink()
         held_out = sorted(p.stem for p in (scores / "zero_shot" / "ar").iterdir())
         assert len(held_out) == 2
         assert self._failures(scores, small_dataset, config)[1] == {}
@@ -751,6 +753,32 @@ class TestMissingDumps:
         # no detector left a dump for it: nothing shows it was held out
         (scores / "zero_shot" / "ar" / f"{held_out[0]}.csv").unlink()
         assert self._failures(scores, small_dataset, config)[1] == {}
+
+    def test_zero_shot_expects_the_recorded_held_out_curves(self, small_dataset, tmp_path):
+        scores, config = self._run(small_dataset, tmp_path, ("naive", "zero_shot"))
+        recorded = json.loads((scores / "zero_shot" / datasets.HELD_OUT_FILE).read_text())
+        held_out = sorted(p.stem for p in (scores / "zero_shot" / "ar").iterdir())
+        assert recorded == {"curves": held_out}
+        detectors = ("ar", "first_diff")
+        for detector in detectors:
+            (scores / "zero_shot" / detector / f"{held_out[0]}.csv").unlink()
+        again, failures = self._failures(scores, small_dataset, config)
+        assert list(failures) == [("zero_shot", d, (held_out[0],)) for d in detectors]
+        assert {f["error"] for f in failures.values()} == {"DatasetError"}
+        assert not any(r.curve == held_out[0] and r.schema == "zero_shot" for r in again.rows)
+
+    @pytest.mark.parametrize("text", ['{"curves": "c0"}', '{"curves": ["../c0"]}', "{}", "["])
+    def test_malformed_held_out_record_is_a_dataset_error(self, small_dataset, tmp_path,
+                                                          capsys, text):
+        scores, _config = self._run(small_dataset, tmp_path, ("zero_shot",))
+        recorded = scores / "zero_shot" / datasets.HELD_OUT_FILE
+        recorded.write_text(text)
+        capsys.readouterr()
+        code = cli_main(["eval", "-s", str(scores.parent), "-d", small_dataset,
+                         "--criteria", "reduced_length_pa", "-o", str(tmp_path / "eval")])
+        assert code == 2
+        assert str(recorded) in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_cli_eval_exits_with_partial_failure(self, small_dataset, tmp_path, capsys):
         scores, _config = self._run(small_dataset, tmp_path, ("naive",))

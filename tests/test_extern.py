@@ -60,6 +60,24 @@ class TestDrive:
         with pytest.raises(ExternalTimeout):
             drive(spec, task, by_id)
 
+    def test_stub_that_stops_reading_times_out(self):
+        # the fit message (about 0.4 MB) fills the pipe while the stub sleeps
+        n = 50_020
+        labels = [0] * n
+        labels[-2] = 1
+        series = TimeSeries(
+            id="long",
+            values=[0.001 * i for i in range(n)],
+            labels=labels,
+            split=SplitSpec(train_end=50_000, valid_end=50_010, source="predefined"),
+        )
+        task = plan_naive([series]).tasks[0]
+        spec = stub_spec("stub_stop_reading.py", message_timeout=1.0)
+        t0 = time.monotonic()
+        with pytest.raises(ExternalTimeout, match="did not read"):
+            drive(spec, task, {"long": series})
+        assert time.monotonic() - t0 < spec.message_timeout + 1.0
+
     def test_dying_stub_raises_nonzero_exit(self, task_and_series):
         task, by_id = task_and_series
         with pytest.raises(NonZeroExit):
@@ -102,9 +120,9 @@ def test_spec_validation():
 def test_captured_stderr_is_bounded():
     proc = _Process([sys.executable, str(STUB_DIR / "stub_chatty_die.py")])
     try:
-        proc.send({"type": "hello", "protocol": 1})
+        proc.send({"type": "hello", "protocol": 1}, 10.0)
         assert proc.recv(10.0)["type"] == "hello"
-        proc.send({"type": "fit", "series": []})
+        proc.send({"type": "fit", "series": []}, 10.0)
         assert proc.proc.wait(timeout=30) == 4
         proc._stderr_thread.join(timeout=30)
         assert not proc._stderr_thread.is_alive()

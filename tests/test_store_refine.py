@@ -9,7 +9,6 @@ from tsadbench import detectors
 from tsadbench.detectors import (
     DetectorConfig,
     _knn_indices,
-    _knn_rows,
     _refine,
     _sq_norms,
     fit,
@@ -56,6 +55,19 @@ STORES = [
     # 3,000 windows: fit's chunks are (1 << 16) // 3000 = 21 rows, so 142
     # full chunks and a short one of 18
     ("three_blocks", uniform(19, 3007), uniform(20, 12), 8),
+    # every stored window has exact duplicates, so every candidate ties
+    (
+        "flat",
+        np.full(80, 3.0),
+        np.concatenate([np.full(8, 3.0), uniform(21, 8), np.full(8, -2.0)]),
+        6,
+    ),
+    (
+        "periodic",
+        np.tile(uniform(22, 7), 14),
+        np.concatenate([np.tile(uniform(22, 7), 3), uniform(23, 9)]),
+        5,
+    ),
 ]
 
 
@@ -109,7 +121,8 @@ def test_refine_keeps_every_possible_neighbor(k):
 
 
 CHUNK_STORES = [
-    s for s in STORES if s[0] in ("integer_ties", "near_ties", "dc_offset", "three_blocks")
+    s for s in STORES
+    if s[0] in ("integer_ties", "near_ties", "dc_offset", "three_blocks", "flat", "periodic")
 ]
 
 
@@ -127,14 +140,6 @@ def test_sub_lof_fit_independent_of_chunk_height(monkeypatch, name, pool, test, 
         assert np.array_equal(other.store_lrd, fits[0].store_lrd)
 
 
-def dense_knn_rows(d, k):
-    """``_knn_rows`` with every entry of the dense matrix d a candidate."""
-    rows, cols = np.indices(d.shape).reshape(2, -1)
-    nb, dists = _knn_rows(rows, cols, d.ravel(), k)
-    assert np.array_equal(dists, np.take_along_axis(d, nb, axis=1))
-    return nb
-
-
 def test_knn_boundary_ties_break_by_index():
     rng = np.random.default_rng(5)
     for _ in range(2000):
@@ -143,12 +148,3 @@ def test_knn_boundary_ties_break_by_index():
         d = rng.integers(0, 4, size=n).astype(float)
         expected = np.lexsort((np.arange(n), d))[:k]
         assert np.array_equal(_knn_indices(d, k), expected)
-        assert np.array_equal(dense_knn_rows(d[None, :], k)[0], expected)
-
-
-def test_knn_rows_per_row():
-    rng = np.random.default_rng(6)
-    d = rng.integers(0, 3, size=(50, 30)).astype(float)
-    d[np.arange(30), np.arange(30)] = np.inf
-    expected = np.array([np.lexsort((np.arange(30), row))[:7] for row in d])
-    assert np.array_equal(dense_knn_rows(d, 7), expected)
