@@ -18,13 +18,13 @@ line endings. Labels are the canonical truth; segments are always derived
 from them. Score dumps carry the header ``index,score`` with indices
 running from the curve's test start.
 
-Both formats are read as ``int()``/``float()`` read their fields: blank
-lines are skipped and CRLF is accepted. numpy's C reader (``np.loadtxt``)
-reads a subset of that to the same numbers, so it reads every file first;
-a file it rejects, or whose columns fail their checks, is read again by
-the line loop, the one source of read errors.
-
-Row numbers in errors count data rows starting at 1 (the header is row 0).
+Both formats are read by one line loop, ``_parse_rows``, as ``int()``/
+``float()`` read their fields: blank lines are skipped and CRLF is
+accepted. numpy's C reader (``np.loadtxt``) reads a subset of that to the
+same numbers, so it reads every file first; a file it rejects, or whose
+columns fail their checks, is read again by the line loop, the one source
+of read errors. Each error about a data row names that row; rows are
+counted from 1 (the header is row 0).
 
 Every file the package writes (curve files, manifests, score dumps,
 results.json, tables, runtime and plot data, plans) goes through
@@ -239,40 +239,46 @@ def read_held_out(schema_dir: str) -> tuple[str, ...] | None:
     return _read_document(path, HeldOutCurves, "zero_shot held-out record").curves
 
 
-def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
-    values: list[float] = []
-    labels: list[int] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != CURVE_HEADER:
-            raise ParseError(f"{path}: expected header {CURVE_HEADER!r}, got {header!r}")
+def _parse_rows(path: str, header: str, first: int, error: type[DatasetError] = ParseError):
+    """The line loop: each data row of the file at path, in file order, as
+    ``(row, value, remaining fields)``. error, naming the row, for another
+    header, a row of another width than the header's, an index or value
+    that ``int()``/``float()`` rejects, or an index other than
+    first + row - 1."""
+    width = header.count(",") + 1
+    with open(path, encoding="utf-8") as fh:
+        got = fh.readline().rstrip("\r\n")
+        if got != header:
+            raise error(f"{path}: expected header {header!r}, got {got!r}")
         row = 0
         for line in fh:
             line = line.rstrip("\r\n")
             if not line:
                 continue
             row += 1
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: expected 3 columns", row=row)
-            idx_s, value_s, label_s = parts
+            fields = line.split(",")
+            if len(fields) != width:
+                raise error(f"{path}: expected {width} columns", row=row)
             try:
-                idx = int(idx_s)
-                value = float(value_s)
+                index, value = int(fields[0]), float(fields[1])
             except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", row=row) from exc
-            if idx != row - 1:
-                raise ParseError(
-                    f"{path}: index {idx} out of order (expected {row - 1})", row=row
-                )
-            if not math.isfinite(value):
-                raise InvariantViolation(f"{path}: non-finite value", row=row)
-            if label_s not in ("0", "1"):
-                raise InvariantViolation(
-                    f"{path}: label {label_s!r} not in {{0,1}}", row=row
-                )
-            values.append(value)
-            labels.append(int(label_s))
+                raise error(f"{path}: {exc}", row=row) from exc
+            expected = first + row - 1
+            if index != expected:
+                raise error(f"{path}: index {index} where {expected} was expected", row=row)
+            yield row, value, fields[2:]
+
+
+def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
+    values: list[float] = []
+    labels: list[int] = []
+    for row, value, (label,) in _parse_rows(path, CURVE_HEADER, 0):
+        if not math.isfinite(value):
+            raise InvariantViolation(f"{path}: non-finite value", row=row)
+        if label not in ("0", "1"):
+            raise InvariantViolation(f"{path}: label {label!r} not in {{0,1}}", row=row)
+        values.append(value)
+        labels.append(int(label))
     if not values:
         raise ParseError(f"{path}: no data rows")
     return values, labels
@@ -312,25 +318,7 @@ def _read_curve_file(path: str) -> tuple[Sequence[float], Sequence[int]]:
 
 
 def _parse_score_dump(path: str, test_start: int) -> list[float]:
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != DUMP_HEADER:
-            raise DatasetError(f"{path}: expected {DUMP_HEADER!r} header")
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                index, value = line.split(",")
-                index, value = int(index), float(value)
-            except ValueError:
-                raise DatasetError(f"{path}: malformed row {line!r}") from None
-            expected = test_start + len(values)
-            if index != expected:
-                raise DatasetError(f"{path}: index {index} where {expected} was expected")
-            values.append(value)
-    return values
+    return [value for _, value, _ in _parse_rows(path, DUMP_HEADER, test_start, DatasetError)]
 
 
 def read_score_dump(path: str, test_start: int) -> np.ndarray:

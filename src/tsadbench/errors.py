@@ -84,7 +84,12 @@ def from_fields(cls, doc, what: str, **items: Callable):
 
 
 class DatasetError(TsadError):
-    """Problems loading or validating a dataset."""
+    """Problems loading or validating a dataset. Carries the offending data
+    row when known, and names it in the message."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message if row is None else f"{message} (row {row})")
+        self.row = row
 
 
 class MissingManifest(DatasetError):
@@ -92,19 +97,11 @@ class MissingManifest(DatasetError):
 
 
 class ParseError(DatasetError):
-    """Malformed manifest or curve file. Carries the offending row when known."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message if row is None else f"{message} (row {row})")
-        self.row = row
+    """Malformed manifest or curve file."""
 
 
 class InvariantViolation(DatasetError):
     """Well-formed file whose contents break a domain invariant."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message if row is None else f"{message} (row {row})")
-        self.row = row
 
 
 class SeriesTooShort(DatasetError):

@@ -215,32 +215,22 @@ def _sums(terms: np.ndarray, reads, weighted: bool) -> np.ndarray:
     return (high * 2.0**26 + low) / _ONE
 
 
-def prf_from_confusion(c) -> tuple[float, float, float]:
-    """Precision, recall, F1 of a (tp, fp, fn) triple.
+def prf_from_confusion(c):
+    """Precision, recall, F1 of a (tp, fp, fn) triple of numbers, or
+    elementwise of a triple of sweep columns.
 
     Zero denominators give 0: precision with no alarms, recall with no
-    events, F1 when both are 0.
+    events, F1 when both are 0. A denominator is a sum of non-negative
+    terms, so it is 0 only when its numerator is, and adding the flag
+    ``== 0`` turns 0 / 0 into 0 / 1 without dividing by zero.
     """
     tp, fp, fn = c
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return precision, recall, f1
-
-
-def _prf_columns(tps, fps, fns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``prf_from_confusion`` elementwise over sweep columns, bit for bit."""
-
-    def ratio(num, den):
-        return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
-
-    precision = ratio(tps, tps + fps)
-    recall = ratio(tps, tps + fns)
-    return precision, recall, ratio(2.0 * precision * recall, precision + recall)
+    alarms = tp + fp
+    events = tp + fn
+    precision = tp / (alarms + (alarms == 0))
+    recall = tp / (events + (events == 0))
+    both = precision + recall
+    return precision, recall, 2.0 * precision * recall / (both + (both == 0))
 
 
 class _lazy:
@@ -558,7 +548,7 @@ def _report(sweep, criterion: EvalCriterion) -> MetricReport:
     sum ``(R_i - R_{i-1}) * P_i``, added in sweep order."""
     thresholds, tps, fps, fns, _ = sweep
     if isinstance(tps, np.ndarray):
-        precision, recall, f1 = _prf_columns(tps, fps, fns)
+        precision, recall, f1 = prf_from_confusion((tps, fps, fns))
         i = len(f1) - 1 - int(f1[::-1].argmax())
         step = recall.copy()
         step[1:] -= recall[:-1]

@@ -690,6 +690,7 @@ class TestDumpIndexColumn:
         )
         assert failure["error"] == "DatasetError"
         assert "was expected" in failure["message"]
+        assert "(row 1)" in failure["message"]
 
     def test_shifted_dump_recorded_as_failure(self, small_dataset, tmp_path):
         failure = self._failure_after(

@@ -176,7 +176,8 @@ def test_prf_columns_equal_scalar_rule():
     values = [0.0, 1.0, 2.0, 0.5, 3.7, 1e-300]
     triples = list(itertools.product(values, repeat=3))
     tps, fps, fns = (np.array(column) for column in zip(*triples))
-    columns = metrics._prf_columns(tps, fps, fns)
+    with np.errstate(divide="raise", invalid="raise"):
+        columns = prf_from_confusion((tps, fps, fns))
     for i, triple in enumerate(triples):
         expected = prf_from_confusion(triple)
         got = tuple(float(column[i]) for column in columns)
