@@ -86,8 +86,7 @@ class RunConfig:
             raise ConfigError("need at least one detector")
         if not self.schemas:
             raise ConfigError("need at least one schema")
-        if not self.criteria:
-            raise ConfigError("need at least one criterion")
+        _check_criteria(self.criteria)
         for schema in self.schemas:
             if schema not in SCHEMAS:
                 raise ConfigError(f"unknown schema {schema!r}")
@@ -106,6 +105,15 @@ class RunConfig:
         del doc["workers"]
         doc["detectors"] = [{"kind": d.kind, **asdict(d)} for d in self.detectors]
         return doc
+
+
+def _check_criteria(criteria: Sequence[EvalCriterion]) -> None:
+    """At least one criterion, each label once."""
+    labels = [c.label for c in criteria]
+    if not labels:
+        raise ConfigError("need at least one criterion")
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"each criterion must be listed once, got {labels}")
 
 
 def parse_run_config(doc: Mapping) -> RunConfig:
@@ -130,16 +138,20 @@ class MetricRow:
     curve: str
     detector: str
     schema: str
-    criterion: str
-    k_delay: int | None
     report: MetricReport
+
+    @property
+    def criterion(self) -> str:
+        """The label of the criterion the row was scored with."""
+        return self.report.criterion.label
 
     def to_dict(self) -> dict:
         """The metrics entry of results.json: the row's fields, with the
-        report's fields in place of the report. The row's criterion (the
-        label) overrides the report's; ``vars`` is a shallow copy of the
-        fields, which ``asdict`` would deep-copy at 20 times the cost."""
-        doc = {**vars(self.report), **vars(self)}
+        report's fields in place of the report and its criterion as a label
+        and a K; ``vars`` is a shallow copy of the fields, which ``asdict``
+        would deep-copy at 20 times the cost."""
+        doc = {**vars(self.report), **vars(self), "criterion": self.criterion,
+               "k_delay": self.report.criterion.k_delay}
         del doc["report"]
         doc["best_threshold"] = _json_float(self.report.best_threshold)
         return doc
@@ -181,6 +193,9 @@ class RunReport:
     exclusions: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     runtime: dict[tuple[str, str], RuntimeStat] = field(default_factory=dict)
+    # the label tradeoff.csv follows: the first criterion as scored on the
+    # first dataset that has rows
+    tradeoff_criterion: str | None = None
 
     def sorted_rows(self) -> list[MetricRow]:
         return sorted(
@@ -278,23 +293,17 @@ def _run_external_task(
     return results, stat
 
 
-def _dump_scores(out_dir: str, dataset: str, schema: str, detector: str, curve: str,
-                 test_start: int, scores: np.ndarray) -> None:
-    directory = os.path.join(out_dir, "scores", dataset, schema, detector)
-    os.makedirs(directory, exist_ok=True)
-    write_score_dump(os.path.join(directory, f"{curve}.csv"), test_start, scores)
-
-
 @dataclass(frozen=True)
 class DatasetContext:
     """One dataset as ``run`` and ``eval`` score it: its kept curves and
-    their labels by id, in manifest order, and each configured criterion's
-    label next to the criterion with its K resolved for this dataset."""
+    their labels by id, in manifest order, and the configured criteria with
+    their K resolved for this dataset, in config order; criteria that
+    resolve alike are kept once."""
 
     name: str
     series_by_id: Mapping[str, TimeSeries]
     labels_by_id: Mapping[str, CurveLabels]
-    criteria: tuple[tuple[str, EvalCriterion], ...]
+    criteria: tuple[EvalCriterion, ...]
 
 
 def _dataset_context(report: RunReport, dataset: tuple[list[TimeSeries], DatasetManifest],
@@ -303,9 +312,6 @@ def _dataset_context(report: RunReport, dataset: tuple[list[TimeSeries], Dataset
     """The context of a dataset as ``load_dataset`` returns it; each curve
     without an anomaly in its test region is recorded in report as an
     exclusion."""
-    labels = [c.label for c in criteria]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"each criterion must be listed once, got {labels}")
     series, manifest = dataset
     kept, excluded = filter_anomaly_free(series)
     for cid in excluded:
@@ -316,10 +322,10 @@ def _dataset_context(report: RunReport, dataset: tuple[list[TimeSeries], Dataset
         name=manifest.name,
         series_by_id={s.id: s for s in kept},
         labels_by_id={s.id: CurveLabels(s.test_labels()) for s in kept},
-        criteria=tuple(
-            (c.label, replace(c, k_delay=resolve_k_delay(k_delay_overrides, manifest, c.k_delay)))
+        criteria=tuple(dict.fromkeys(
+            replace(c, k_delay=resolve_k_delay(k_delay_overrides, manifest, c.k_delay))
             for c in criteria
-        ),
+        )),
     )
 
 
@@ -390,6 +396,7 @@ def _run_detector(workers: int, report: RunReport, ctx: DatasetContext, plan: Be
         outcomes = [attempt(task) for task in plan.tasks]
 
     stat = report.runtime.setdefault((name, plan.schema), RuntimeStat())
+    directory = os.path.join(output_dir, "scores", ctx.name, plan.schema, name)
     for task, outcome in zip(plan.tasks, outcomes):
         if isinstance(outcome, TsadError):
             curves = [sid for sid, _ in task.eval_refs]
@@ -398,8 +405,9 @@ def _run_detector(workers: int, report: RunReport, ctx: DatasetContext, plan: Be
         scores, runtime = outcome
         stat.add(runtime)
         for sid, arr in scores:
-            test_start = ctx.series_by_id[sid].test_start
-            _dump_scores(output_dir, ctx.name, plan.schema, name, sid, test_start, arr)
+            os.makedirs(directory, exist_ok=True)  # none for a detector whose tasks all fail
+            write_score_dump(os.path.join(directory, f"{sid}.csv"),
+                             ctx.series_by_id[sid].test_start, arr)
             _evaluate_into(report, ctx, plan.schema, name, sid, arr)
 
 
@@ -412,19 +420,11 @@ def _evaluate_into(report: RunReport, ctx: DatasetContext, schema: str, detector
     # every criterion separately.
     ranked = RankedScores(scores)
     labels = ctx.labels_by_id[curve]
-    for label, criterion in ctx.criteria:
+    if report.tradeoff_criterion is None:
+        report.tradeoff_criterion = ctx.criteria[0].label
+    for criterion in ctx.criteria:
         result = evaluate_curve(ranked, labels, criterion)
-        report.rows.append(
-            MetricRow(
-                dataset=ctx.name,
-                curve=curve,
-                detector=detector,
-                schema=schema,
-                criterion=label,
-                k_delay=criterion.k_delay,
-                report=result,
-            )
-        )
+        report.rows.append(MetricRow(ctx.name, curve, detector, schema, result))
 
 
 def evaluate_scores(
@@ -446,6 +446,7 @@ def evaluate_scores(
     dumped. The K override ``run`` recorded next to the dumps applies unless
     k_delay_overrides names the dataset.
     """
+    _check_criteria(criteria)
     dataset = load_dataset(dataset_root)
     name = dataset[1].name
     k_delay_overrides = {**read_k_delay_override(scores_root, name), **(k_delay_overrides or {})}
@@ -550,15 +551,13 @@ def _write_runtime_csv(report: RunReport, path: str) -> None:
 
 def _write_tradeoff_csv(report: RunReport, results_doc: dict, path: str) -> None:
     """Plot-ready trade-off data: x = total inference seconds, y = mean
-    score under the first configured criterion, size = cube root of the
+    score under the report's tradeoff criterion, size = cube root of the
     parameter count."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    criteria = results_doc["config"].get("criteria", [])
-    first_label = EvalCriterion.from_dict(criteria[0]).label if criteria else None
     overall = {
         (e["detector"], e["schema"]): e["f1_best_mean"]
         for e in results_doc["aggregates"]["overall"]
-        if first_label is None or e["criterion"] == first_label
+        if e["criterion"] == report.tradeoff_criterion
     }
     with atomic_open(path) as fh:
         fh.write("detector,schema,inference_seconds,mean_score,parameter_count,size\n")

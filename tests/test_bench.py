@@ -45,6 +45,25 @@ def base_config(root, **kwargs):
     return bench.RunConfig(**defaults)
 
 
+@pytest.fixture
+def kd_dataset(tmp_path):
+    """One curve in a dataset whose manifest sets K = 7."""
+    configs = [
+        SynthConfig(id="c0", length=300, seed=3,
+                    anomalies=(AnomalySpec(kind="global", count=1),)),
+    ]
+    root = str(tmp_path / "dsk")
+    generate_dataset(configs, root, name="kd", k_delay=7)
+    return root
+
+
+def assert_labels_name_their_k(rows):
+    """Each row's label is that of the criterion with the K it was scored with."""
+    for row in rows:
+        c, doc = row.report.criterion, row.to_dict()
+        assert doc["criterion"] == EvalCriterion(c.variant, doc["k_delay"], c.prolong_len).label
+
+
 class TestRun:
     def test_one_row_per_combination(self, small_dataset, tmp_path):
         config = base_config(small_dataset)
@@ -118,6 +137,8 @@ class TestRun:
             )
         config = base_config(small_dataset, detectors=tuple(stubs))
         report = bench.run(config, str(tmp_path / "out"))
+        # a detector whose tasks all failed leaves no dump directory
+        assert os.listdir(tmp_path / "out" / "scores" / "mini" / "naive") == ["stub_ok"]
         by_error = {f["detector"]: f["error"] for f in report.failures}
         assert by_error["stub_short"] == "LengthMismatch"
         assert by_error["stub_sleep"] == "ExternalTimeout"
@@ -155,57 +176,75 @@ class TestRun:
         with pytest.raises(Exception):
             bench.run(config, str(tmp_path / "out"))
 
-    def test_k_delay_resolution_order(self, tmp_path):
-        configs = [
-            SynthConfig(id="c0", length=300, seed=3,
-                        anomalies=(AnomalySpec(kind="global", count=1),)),
-        ]
-        root = str(tmp_path / "dsk")
-        generate_dataset(configs, root, name="kd", k_delay=7)
+    def test_k_delay_resolution_order(self, kd_dataset, tmp_path):
         # manifest beats the criterion's own k
         report = bench.run(
-            base_config(root, criteria=(EvalCriterion("event_wise_pa", k_delay=2),)),
+            base_config(kd_dataset, criteria=(EvalCriterion("event_wise_pa", k_delay=2),)),
             str(tmp_path / "o1"),
         )
-        assert {r.k_delay for r in report.rows} == {7}
+        assert {r.report.criterion.k_delay for r in report.rows} == {7}
         # run override beats the manifest
         report = bench.run(
             base_config(
-                root,
+                kd_dataset,
                 criteria=(EvalCriterion("event_wise_pa", k_delay=2),),
                 k_delay_overrides={"kd": 4},
             ),
             str(tmp_path / "o2"),
         )
-        assert {r.k_delay for r in report.rows} == {4}
+        assert {r.report.criterion.k_delay for r in report.rows} == {4}
         # explicit null override disables the manifest default
         report = bench.run(
             base_config(
-                root,
+                kd_dataset,
                 criteria=(EvalCriterion("event_wise_pa"),),
                 k_delay_overrides={"kd": None},
             ),
             str(tmp_path / "o3"),
         )
-        assert {r.k_delay for r in report.rows} == {None}
+        assert {r.report.criterion.k_delay for r in report.rows} == {None}
 
-    def test_k_delay_resolved_per_dataset(self, small_dataset, tmp_path):
-        configs = [
-            SynthConfig(id="c0", length=300, seed=3,
-                        anomalies=(AnomalySpec(kind="global", count=1),)),
-        ]
-        root = str(tmp_path / "dsk")
-        generate_dataset(configs, root, name="kd", k_delay=7)
+    def test_k_delay_resolved_per_dataset(self, small_dataset, kd_dataset, tmp_path):
         criteria = (EvalCriterion("event_wise_pa", k_delay=2), EvalCriterion("point_wise_pa"))
-        config = base_config(small_dataset, datasets=(small_dataset, root), criteria=criteria)
-        report = bench.run(config, str(tmp_path / "out"))
-        k_delays = {(r.dataset, r.criterion, r.k_delay) for r in report.rows}
+        config = base_config(small_dataset, datasets=(small_dataset, kd_dataset), criteria=criteria)
+        out = tmp_path / "out"
+        report = bench.run(config, str(out))
+        k_delays = {(r.dataset, r.criterion, r.report.criterion.k_delay) for r in report.rows}
         assert k_delays == {
             ("mini", "event_wise_pa_K2_L9", 2),
             ("mini", "point_wise_pa_L9", None),
-            ("kd", "event_wise_pa_K2_L9", 7),
-            ("kd", "point_wise_pa_L9", 7),
+            ("kd", "event_wise_pa_K7_L9", 7),
+            ("kd", "point_wise_pa_K7_L9", 7),
         }
+        assert_labels_name_their_k(report.rows)
+        bench.emit_reports(report, str(out))
+        # no table averages two values of K: each names the datasets scored with its K
+        header = (out / "tables" / "event_wise_pa_K2_L9.csv").read_text().splitlines()[0]
+        assert header == "detector,schema,mini,avg"
+        header = (out / "tables" / "event_wise_pa_K7_L9.csv").read_text().splitlines()[0]
+        assert header == "detector,schema,kd,avg"
+
+    def test_criteria_resolving_alike_scored_once(self, kd_dataset, tmp_path):
+        # K 2 and K 5 both become the manifest's K 7
+        criteria = (EvalCriterion("event_wise_pa", k_delay=2),
+                    EvalCriterion("event_wise_pa", k_delay=5))
+        out = tmp_path / "out"
+        report = bench.run(base_config(kd_dataset, criteria=criteria), str(out))
+        assert sorted((r.curve, r.detector, r.criterion) for r in report.rows) == [
+            ("c0", "ar", "event_wise_pa_K7_L9"),
+            ("c0", "first_diff", "event_wise_pa_K7_L9"),
+        ]
+        assert_labels_name_their_k(report.rows)
+        bench.emit_reports(report, str(out))
+        assert os.listdir(out / "tables") == ["event_wise_pa_K7_L9.csv"]
+        tradeoff = (out / "plotdata" / "tradeoff.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in tradeoff[1:]] == ["ar", "first_diff"]
+        doc = json.loads((out / "results.json").read_text())
+        assert [c["k_delay"] for c in doc["config"]["criteria"]] == [2, 5]
+        again = bench.evaluate_scores(str(out / "scores"), kd_dataset, criteria)
+        assert [r.to_dict() for r in again.sorted_rows()] == [
+            r.to_dict() for r in report.sorted_rows()
+        ]
 
 
 class TestDeterminism:
@@ -362,13 +401,13 @@ class TestRecordedKOverride:
         assert not (run_out / "scores" / "kd" / datasets.K_OVERRIDE_FILE).exists()
         report = bench.evaluate_scores(str(run_out / "scores"), kd,
                                        (EvalCriterion("event_wise_pa", k_delay=2),))
-        assert {r.k_delay for r in report.rows} == {7}
+        assert {r.report.criterion.k_delay for r in report.rows} == {7}
 
     def test_caller_override_wins(self, kd, tmp_path):
         run_out = self._run(tmp_path, kd, {"kd": 1})
         report = bench.evaluate_scores(str(run_out / "scores"), kd,
                                        (EvalCriterion("event_wise_pa", k_delay=2),), {"kd": 4})
-        assert {r.k_delay for r in report.rows} == {4}
+        assert {r.report.criterion.k_delay for r in report.rows} == {4}
         assert report.config_echo["k_delay_overrides"] == {"kd": 4}
 
     @pytest.mark.parametrize("text", ['{"k_delay": "1"}', '{"k_delay": -1}', "{}", "[1]", "{"])
@@ -612,6 +651,19 @@ class TestCli:
         assert "each criterion must be listed once" in capsys.readouterr().err
         assert not out2.exists()
 
+    def test_criteria_checked_before_any_dataset_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing_ds")
+        criteria = [{"variant": "event_wise_pa"}, {"variant": "event_wise_pa"}]
+        config = self._write_config(tmp_path, missing, criteria=criteria)
+        assert cli_main(["run", "-c", config, "-o", str(tmp_path / "o")]) == 1
+        code = cli_main(["eval", "-s", str(tmp_path / "scores"), "-d", missing,
+                         "--criteria", "event_wise_pa", "event_wise_pa:l=9",
+                         "-o", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err.count("each criterion must be listed once") == 2
+        with pytest.raises(ConfigError, match="need at least one criterion"):
+            bench.evaluate_scores(str(tmp_path / "scores"), missing, [])
+
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -827,19 +879,19 @@ class TestAtomicWrites:
         import numpy as np
 
         scores = np.array([0.1, 1e-300, 2.0, -0.0])
-        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 7, scores)
-        text = (tmp_path / "scores" / "d" / "naive" / "x" / "c.csv").read_text()
+        datasets.write_score_dump(str(tmp_path / "c.csv"), 7, scores)
+        text = (tmp_path / "c.csv").read_text()
         assert text == "index,score\n7,0.1\n8,1e-300\n9,2.0\n10,-0.0\n"
 
     def test_failed_dump_leaves_previous_file(self, tmp_path, monkeypatch):
         import numpy as np
 
-        directory = tmp_path / "scores" / "d" / "naive" / "x"
-        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 0, np.array([1.0]))
+        directory = tmp_path
+        datasets.write_score_dump(str(directory / "c.csv"), 0, np.array([1.0]))
         before = (directory / "c.csv").read_bytes()
         self._fail_writes(monkeypatch)
         with pytest.raises(OSError):
-            bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 0, np.arange(1000.0))
+            datasets.write_score_dump(str(directory / "c.csv"), 0, np.arange(1000.0))
         assert (directory / "c.csv").read_bytes() == before
         assert os.listdir(directory) == ["c.csv"]
 

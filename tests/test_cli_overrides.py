@@ -106,10 +106,9 @@ def test_dump_longer_than_one_chunk(tmp_path):
     rng = np.random.default_rng(5)
     scores = rng.standard_normal(n) * rng.choice([1e-5, 1.0, 1e7], n)
     scores[[0, 1, n - 1]] = [-0.0, 1e-300, 123456789.125]
-    bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 30, scores)
-    data = (tmp_path / "scores" / "d" / "naive" / "x" / "c.csv").read_bytes()
+    path = str(tmp_path / "c.csv")
+    datasets.write_score_dump(path, 30, scores)
+    data = (tmp_path / "c.csv").read_bytes()
     lines = ["index,score\n"] + [f"{30 + j},{float(v)!r}\n" for j, v in enumerate(scores)]
     assert data == "".join(lines).encode()
-    assert datasets.read_score_dump(
-        str(tmp_path / "scores" / "d" / "naive" / "x" / "c.csv"), 30
-    ).tolist() == scores.tolist()
+    assert datasets.read_score_dump(path, 30).tolist() == scores.tolist()

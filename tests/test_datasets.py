@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsadbench import bench, datasets
+from tsadbench import datasets
 from tsadbench.cli import main as cli_main
 from tsadbench.core import SplitSpec, TimeSeries
 from tsadbench.datasets import (
@@ -364,8 +364,8 @@ class TestReaderMemory:
 
     def test_long_dump(self, tmp_path):
         scores = np.random.default_rng(8).standard_normal(136_500)
-        bench._dump_scores(str(tmp_path), "d", "naive", "x", "c", 3_500, scores)
-        path = str(tmp_path / "scores" / "d" / "naive" / "x" / "c.csv")
+        path = str(tmp_path / "c.csv")
+        datasets.write_score_dump(path, 3_500, scores)
         assert self._peak(datasets.read_score_dump, path, 3_500) <= 4.2 * 2**20
 
 
