@@ -193,9 +193,6 @@ class RunReport:
     exclusions: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     runtime: dict[tuple[str, str], RuntimeStat] = field(default_factory=dict)
-    # the label tradeoff.csv follows: the first criterion as scored on the
-    # first dataset that has rows
-    tradeoff_criterion: str | None = None
 
     def sorted_rows(self) -> list[MetricRow]:
         return sorted(
@@ -420,8 +417,6 @@ def _evaluate_into(report: RunReport, ctx: DatasetContext, schema: str, detector
     # every criterion separately.
     ranked = RankedScores(scores)
     labels = ctx.labels_by_id[curve]
-    if report.tradeoff_criterion is None:
-        report.tradeoff_criterion = ctx.criteria[0].label
     for criterion in ctx.criteria:
         result = evaluate_curve(ranked, labels, criterion)
         report.rows.append(MetricRow(ctx.name, curve, detector, schema, result))
@@ -551,13 +546,14 @@ def _write_runtime_csv(report: RunReport, path: str) -> None:
 
 def _write_tradeoff_csv(report: RunReport, results_doc: dict, path: str) -> None:
     """Plot-ready trade-off data: x = total inference seconds, y = mean
-    score under the report's tradeoff criterion, size = cube root of the
-    parameter count."""
+    score under the first criterion as scored on the first dataset that has
+    rows (rows are added in dataset order, then criteria order), size = cube
+    root of the parameter count."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     overall = {
         (e["detector"], e["schema"]): e["f1_best_mean"]
         for e in results_doc["aggregates"]["overall"]
-        if e["criterion"] == report.tradeoff_criterion
+        if e["criterion"] == report.rows[0].criterion  # no aggregate without a row
     }
     with atomic_open(path) as fh:
         fh.write("detector,schema,inference_seconds,mean_score,parameter_count,size\n")

@@ -179,7 +179,7 @@ def _read_document(path: str, cls, what: str, **items):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return from_fields(cls, doc, what, **items)
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         raise ParseError(f"{what} {path}: {exc}") from exc
     except InvariantViolation as exc:
         raise InvariantViolation(f"{what} {path}: {exc}") from exc
@@ -244,29 +244,33 @@ def _parse_rows(path: str, header: str, first: int, error: type[DatasetError] = 
     ``(row, value, remaining fields)``. error, naming the row, for another
     header, a row of another width than the header's, an index or value
     that ``int()``/``float()`` rejects, or an index other than
-    first + row - 1."""
+    first + row - 1; error naming only the path for bytes that are not
+    UTF-8."""
     width = header.count(",") + 1
-    with open(path, encoding="utf-8") as fh:
-        got = fh.readline().rstrip("\r\n")
-        if got != header:
-            raise error(f"{path}: expected header {header!r}, got {got!r}")
-        row = 0
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            row += 1
-            fields = line.split(",")
-            if len(fields) != width:
-                raise error(f"{path}: expected {width} columns", row=row)
-            try:
-                index, value = int(fields[0]), float(fields[1])
-            except ValueError as exc:
-                raise error(f"{path}: {exc}", row=row) from exc
-            expected = first + row - 1
-            if index != expected:
-                raise error(f"{path}: index {index} where {expected} was expected", row=row)
-            yield row, value, fields[2:]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            got = fh.readline().rstrip("\r\n")
+            if got != header:
+                raise error(f"{path}: expected header {header!r}, got {got!r}")
+            row = 0
+            for line in fh:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                row += 1
+                fields = line.split(",")
+                if len(fields) != width:
+                    raise error(f"{path}: expected {width} columns", row=row)
+                try:
+                    index, value = int(fields[0]), float(fields[1])
+                except ValueError as exc:
+                    raise error(f"{path}: {exc}", row=row) from exc
+                expected = first + row - 1
+                if index != expected:
+                    raise error(f"{path}: index {index} where {expected} was expected", row=row)
+                yield row, value, fields[2:]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def _parse_curve_file(path: str) -> tuple[list[float], list[int]]:
@@ -439,51 +443,54 @@ def import_generic_csv(
     ids) are dropped and the canonical 0-based index is regenerated.
     Importing an already-canonical file is the identity.
     """
-    with open(src_path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if not header:
-            raise ParseError(f"{src_path}: empty file")
-        columns = [c.strip() for c in header.split(delimiter)]
-        try:
-            v_idx = columns.index(value_column)
-            l_idx = columns.index(label_column)
-        except ValueError as exc:
-            raise ParseError(
-                f"{src_path}: missing column ({value_column!r}/{label_column!r}) "
-                f"in {columns}"
-            ) from exc
-        values: list[float] = []
-        labels: list[int] = []
-        row = 0
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            row += 1
-            parts = line.split(delimiter)
-            if len(parts) <= max(v_idx, l_idx):
-                raise ParseError(f"{src_path}: short row", row=row)
+    try:
+        with open(src_path, encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if not header:
+                raise ParseError(f"{src_path}: empty file")
+            columns = [c.strip() for c in header.split(delimiter)]
             try:
-                value = float(parts[v_idx])
+                v_idx = columns.index(value_column)
+                l_idx = columns.index(label_column)
             except ValueError as exc:
-                raise ParseError(f"{src_path}: bad value {parts[v_idx]!r}", row=row) from exc
-            if not math.isfinite(value):
-                raise InvariantViolation(f"{src_path}: non-finite value", row=row)
-            label_s = parts[l_idx].strip()
-            if label_s in ("0", "1"):
-                label = int(label_s)
-            else:
+                raise ParseError(
+                    f"{src_path}: missing column ({value_column!r}/{label_column!r}) "
+                    f"in {columns}"
+                ) from exc
+            values: list[float] = []
+            labels: list[int] = []
+            row = 0
+            for line in fh:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                row += 1
+                parts = line.split(delimiter)
+                if len(parts) <= max(v_idx, l_idx):
+                    raise ParseError(f"{src_path}: short row", row=row)
                 try:
-                    label_f = float(label_s)
+                    value = float(parts[v_idx])
                 except ValueError as exc:
-                    raise ParseError(f"{src_path}: bad label {label_s!r}", row=row) from exc
-                if label_f not in (0.0, 1.0):
-                    raise InvariantViolation(
-                        f"{src_path}: label {label_s!r} not in {{0,1}}", row=row
-                    )
-                label = int(label_f)
-            values.append(value)
-            labels.append(label)
+                    raise ParseError(f"{src_path}: bad value {parts[v_idx]!r}", row=row) from exc
+                if not math.isfinite(value):
+                    raise InvariantViolation(f"{src_path}: non-finite value", row=row)
+                label_s = parts[l_idx].strip()
+                if label_s in ("0", "1"):
+                    label = int(label_s)
+                else:
+                    try:
+                        label_f = float(label_s)
+                    except ValueError as exc:
+                        raise ParseError(f"{src_path}: bad label {label_s!r}", row=row) from exc
+                    if label_f not in (0.0, 1.0):
+                        raise InvariantViolation(
+                            f"{src_path}: label {label_s!r} not in {{0,1}}", row=row
+                        )
+                    label = int(label_f)
+                values.append(value)
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{src_path}: {exc}") from exc
     if not values:
         raise ParseError(f"{src_path}: no data rows")
     write_curve_csv(dst_path, values, labels)

@@ -22,9 +22,12 @@ records as a task failure without stopping other tasks.
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
+import signal
 import subprocess
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
@@ -45,9 +48,17 @@ from .schemas import Task
 
 PROTOCOL_VERSION = 1
 
-# Stderr lines kept per detector process (the newest); older ones are
-# dropped so a chatty detector cannot grow the harness's memory.
+# The longest reply line read, in bytes: a fixed allowance plus, per score
+# asked for, the longest number json reads as a finite float (a 309-digit
+# integer) with its sign and ", " separator.
+REPLY_BYTES = 64 * 1024
+SCORE_BYTES = 309 + 3
+
+# Stderr lines kept per detector process (the newest), each cut at
+# STDERR_LINE_BYTES; older ones are dropped so a chatty detector cannot
+# grow the harness's memory.
 STDERR_KEEP = 200
+STDERR_LINE_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,9 @@ class ExternalDetectorSpec:
 
 
 class _Process:
-    """Owns the subprocess plus reader threads for stdout and stderr."""
+    """Owns the subprocess, which leads a process group of its own, and its
+    stderr reader thread. Requests and replies move on the calling thread,
+    through the pipes' raw descriptors only: their buffers are never used."""
 
     def __init__(self, command: Sequence[str]):
         try:
@@ -86,64 +99,64 @@ class _Process:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
+                start_new_session=True,
             )
         except OSError as exc:
             raise ProtocolError(f"could not spawn {command!r}: {exc}") from exc
-        self._lines: queue.Queue = queue.Queue()
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self._unread = bytearray()  # stdout bytes past the last reply line
         self.stderr_lines: deque[str] = deque(maxlen=STDERR_KEEP)
-        threading.Thread(target=self._pump_stdout, daemon=True).start()
         self._stderr_thread = threading.Thread(target=self._pump_stderr, daemon=True)
         self._stderr_thread.start()
 
-    def _pump_stdout(self):
-        for line in self.proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF marker
-
     def _pump_stderr(self):
-        for line in self.proc.stderr:
-            self.stderr_lines.append(line.rstrip("\n"))
+        for line in iter(lambda: self.proc.stderr.readline(STDERR_LINE_BYTES), b""):
+            self.stderr_lines.append(line.decode("utf-8", "replace").rstrip("\n"))
+
+    def _ready(self, pipe, event: int, deadline: float) -> bool:
+        """Whether pipe is ready for event, or hung up, before deadline."""
+        poller = select.poll()
+        poller.register(pipe, event)
+        return bool(poller.poll(max(0.0, deadline - time.monotonic()) * 1000))
 
     def send(self, message: dict, timeout: float) -> None:
-        """Write one message under the deadline of the reply it asks for. A
-        detector that has not taken it within timeout seconds is killed,
-        which ends the blocked write, and ExternalTimeout is raised."""
-        line = json.dumps(message) + "\n"
-        failed: list[OSError] = []
-
-        def write():
+        """Write one message under the deadline of the reply it asks for, or
+        raise ExternalTimeout if the detector has not taken it by then."""
+        data = memoryview((json.dumps(message) + "\n").encode())
+        deadline = time.monotonic() + timeout
+        while data:
+            if not self._ready(self.proc.stdin, select.POLLOUT, deadline):
+                raise ExternalTimeout(f"detector did not read its input within {timeout:g}s")
             try:
-                self.proc.stdin.write(line)
-                self.proc.stdin.flush()
+                data = data[os.write(self.proc.stdin.fileno(), data):]
             except OSError as exc:
-                failed.append(exc)
+                raise ProtocolError(f"detector closed stdin pipe: {exc}") from exc
 
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        writer.join(timeout)
-        if writer.is_alive():
-            self.reap()
-            writer.join(timeout=5)
-            raise ExternalTimeout(f"detector did not read its input within {timeout:g}s")
-        if failed:
-            raise ProtocolError(f"detector closed stdin pipe: {failed[0]}") from failed[0]
-
-    def recv(self, timeout: float) -> dict:
+    def recv(self, timeout: float, scores: int = 0) -> dict:
+        """The next reply, read within timeout seconds; its line may hold
+        REPLY_BYTES plus SCORE_BYTES per score asked for."""
+        limit = REPLY_BYTES + SCORE_BYTES * scores
+        deadline = time.monotonic() + timeout
+        end = self._unread.find(b"\n")
+        while end < 0 and len(self._unread) <= limit:
+            if not self._ready(self.proc.stdout, select.POLLIN, deadline):
+                raise ExternalTimeout(f"no reply within {timeout:g}s")
+            chunk = os.read(self.proc.stdout.fileno(), 1 << 16)
+            if not chunk:
+                code = self.proc.wait()
+                if code != 0:
+                    raise NonZeroExit(f"detector exited with status {code}")
+                raise ProtocolError("detector closed stdout before replying")
+            self._unread += chunk
+            end = self._unread.find(b"\n", len(self._unread) - len(chunk))
+        if not 0 <= end <= limit:
+            raise ProtocolError(f"reply line longer than {limit} bytes")
+        line = self._unread[:end]
+        del self._unread[: end + 1]
         try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise ExternalTimeout(f"no reply within {timeout:g}s") from None
-        if line is None:
-            code = self.proc.wait()
-            if code != 0:
-                raise NonZeroExit(f"detector exited with status {code}")
-            raise ProtocolError("detector closed stdout before replying")
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"bad JSON from detector: {line!r}") from exc
+            message = json.loads(line.decode())
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past int()'s digit limit
+            raise ProtocolError(f"bad JSON from detector: {bytes(line)!r}") from exc
         if not isinstance(message, dict) or "type" not in message:
             raise ProtocolError(f"reply is not a typed object: {message!r}")
         if message["type"] == "error":
@@ -158,7 +171,6 @@ class _Process:
         try:
             code = self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            self.kill()
             raise ExternalTimeout("detector did not exit after shutdown") from None
         if code != 0:
             raise NonZeroExit(f"detector exited with status {code}")
@@ -168,9 +180,11 @@ class _Process:
         self.close()
 
     def reap(self) -> None:
-        """Kill the process if it still runs and wait for it to exit."""
-        if self.proc.poll() is None:
-            self.proc.kill()
+        """Kill the process group unless the process has been waited for,
+        and wait for it to exit. Once waited for, its pid may be reused, so
+        the group is signalled only before."""
+        if self.proc.returncode is None:
+            os.killpg(self.proc.pid, signal.SIGKILL)
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
@@ -179,10 +193,7 @@ class _Process:
     def close(self) -> None:
         """Close the pipes; stderr lines not yet read are lost."""
         for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
-            try:
-                stream.close()
-            except OSError:
-                pass
+            stream.close()
 
     def stderr_tail(self, limit: int = 5) -> str:
         self._stderr_thread.join(timeout=1.0)
@@ -253,14 +264,17 @@ def _exchange(
             },
             spec.message_timeout,
         )
-        reply = _expect(proc.recv(spec.message_timeout), "scores")
+        reply = _expect(proc.recv(spec.message_timeout, end - start), "scores")
         if reply.get("id") != sid:
             raise ProtocolError(f"scores for {reply.get('id')!r}, expected {sid!r}")
         raw = reply.get("scores")
         # json.loads makes exact ints and floats; true and false are bools
         if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
             raise ProtocolError("scores must be a list of numbers")
-        results.append((sid, validate_scores(series, raw)))
+        try:
+            results.append((sid, validate_scores(series, raw)))
+        except OverflowError as exc:  # an int past float's range
+            raise ProtocolError(f"score out of float range: {exc}") from exc
 
     proc.shutdown(spec.message_timeout)
     return results

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+import re
 import sys
 import time
 
@@ -147,3 +150,50 @@ def test_failure_message_keeps_last_stderr_line(task_and_series, monkeypatch):
     task, by_id = task_and_series
     with pytest.raises(NonZeroExit, match="line 999"):
         drive(stub_spec("stub_tail_die.py"), task, by_id)
+
+
+def test_overlong_reply_line_is_a_protocol_error(task_and_series):
+    task, by_id = task_and_series
+    spec = stub_spec("stub_long_line.py", message_timeout=1.0)
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError, match="reply line longer than"):
+        drive(spec, task, by_id)
+    assert time.monotonic() - t0 < spec.message_timeout + 1.0
+
+
+@pytest.mark.parametrize(
+    "digits, match",
+    [(401, "score out of float range"), (5000, "bad JSON")],
+    ids=["past_float_range", "past_int_digit_limit"],
+)
+def test_out_of_range_integer_score_is_a_protocol_error(task_and_series, digits, match):
+    task, by_id = task_and_series
+    spec = stub_spec("stub_big_int.py")
+    spec = dataclasses.replace(spec, command=spec.command + (str(digits),))
+    with pytest.raises(ProtocolError, match=match):
+        drive(spec, task, by_id)
+
+
+def _running(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_failed_task_leaves_no_grandchild(task_and_series):
+    task, by_id = task_and_series
+    spec = stub_spec("stub_orphan.py", message_timeout=1.0)
+    t0 = time.monotonic()
+    with pytest.raises(ExternalTimeout) as failure:
+        drive(spec, task, by_id)
+    # a grandchild left holding stderr would keep closing the pipes waiting
+    assert time.monotonic() - t0 < spec.message_timeout + 1.0
+    pid = int(re.search(r"grandchild (\d+)", str(failure.value)).group(1))
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
